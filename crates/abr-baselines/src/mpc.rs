@@ -15,11 +15,14 @@
 //! bandwidth prediction by `1 + max recent relative prediction error` — the
 //! lower-bound trick that §6.3/§6.7 show trades a little quality for far
 //! fewer stalls under bad predictions.
+//!
+//! Plans are scored by the prefix-sharing search in [`crate::util`], which
+//! picks exactly the plan exhaustive per-plan scoring would.
 
 use abr_sim::{AbrAlgorithm, DecisionContext};
 use net_trace::PredictionErrorTracker;
 
-use crate::util::for_each_sequence;
+use crate::util::{PlanObjective, PlanSearch, MAX_HORIZON};
 
 /// MPC configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,13 +72,21 @@ pub struct Mpc {
     /// realized throughput that arrives in the next context.
     last_prediction: Option<f64>,
     n_observed: usize,
+    /// Per-decision tables, sized on the first decision and reused.
+    search: PlanSearch,
+    /// `quality[l]` — track `l`'s quality term (declared bitrate, Mbps).
+    quality: Vec<f64>,
 }
 
 impl Mpc {
     /// # Panics
-    /// Panics on a zero horizon or error window.
+    /// Panics on a zero error window, or unless
+    /// `1 <= horizon <= `[`MAX_HORIZON`].
     pub fn new(config: MpcConfig) -> Mpc {
-        assert!(config.horizon > 0, "horizon must be positive");
+        assert!(
+            config.horizon > 0 && config.horizon <= MAX_HORIZON,
+            "horizon must be in 1..={MAX_HORIZON}"
+        );
         assert!(config.error_window > 0);
         Mpc {
             config,
@@ -83,6 +94,8 @@ impl Mpc {
             errors: PredictionErrorTracker::new(config.error_window),
             last_prediction: None,
             n_observed: 0,
+            search: PlanSearch::default(),
+            quality: Vec::new(),
         }
     }
 
@@ -141,51 +154,92 @@ impl AbrAlgorithm for Mpc {
         let visible = ctx.visible_chunks.min(n_chunks).max(start + 1);
         let horizon = self.config.horizon.min(visible - start);
         let mu = self.rebuffer_penalty(ctx);
-        let lambda = self.config.smoothness_weight;
         // Quality term: the track's *declared* bitrate (the reference MPC's
         // quality proxy). Actual chunk sizes drive only the download-time
         // model, per §6.1's "use the actual size … in making rate adaptation
         // decisions".
-        let prev_quality = ctx.last_level.map(|l| m.declared_bitrate(l) / 1.0e6);
+        self.quality.clear();
+        self.quality
+            .extend((0..m.n_tracks()).map(|l| m.declared_bitrate(l) / 1.0e6));
+        let prev_q = ctx.last_level.map(|l| self.quality[l]);
 
-        let mut best_seq0 = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
-        for_each_sequence(m.n_tracks(), horizon, |seq| {
-            let mut buf = ctx.buffer_s;
-            let mut rebuffer = 0.0;
-            let mut quality_sum = 0.0;
-            let mut smooth = 0.0;
-            let mut prev_q = prev_quality;
-            for (k, &level) in seq.iter().enumerate() {
-                let idx = start + k;
-                let q = m.declared_bitrate(level) / 1.0e6;
-                quality_sum += q;
-                if let Some(pq) = prev_q {
-                    smooth += (q - pq).abs();
-                }
-                prev_q = Some(q);
-                let dl = m.chunk_bits(level, idx) / bw;
-                if dl > buf {
-                    rebuffer += dl - buf;
-                    buf = 0.0;
-                } else {
-                    buf -= dl;
-                }
-                buf += delta;
-            }
-            let score = quality_sum - lambda * smooth - mu * rebuffer;
-            if score > best_score {
-                best_score = score;
-                best_seq0 = seq[0];
-            }
-        });
-        best_seq0
+        self.search.prepare(m, start, horizon, bw);
+        let mut plans = MpcPlans {
+            quality: &self.quality,
+            delta,
+            lambda: self.config.smoothness_weight,
+            mu,
+            best_score: f64::NEG_INFINITY,
+            best_seq0: 0,
+        };
+        let root = MpcState {
+            buf: ctx.buffer_s,
+            rebuffer: 0.0,
+            quality_sum: 0.0,
+            smooth: 0.0,
+            prev_q,
+        };
+        self.search.search(root, &mut plans);
+        plans.best_seq0
     }
 
     fn reset(&mut self) {
         self.errors.reset();
         self.last_prediction = None;
         self.n_observed = 0;
+    }
+}
+
+/// Partial state of an MPC plan prefix.
+#[derive(Debug, Clone, Copy)]
+struct MpcState {
+    buf: f64,
+    rebuffer: f64,
+    quality_sum: f64,
+    smooth: f64,
+    /// Quality of the previous chunk (`None` before the first download).
+    prev_q: Option<f64>,
+}
+
+/// The MPC objective over one decision's plans, tracking the best plan.
+struct MpcPlans<'a> {
+    quality: &'a [f64],
+    delta: f64,
+    lambda: f64,
+    mu: f64,
+    best_score: f64,
+    best_seq0: usize,
+}
+
+impl PlanObjective for MpcPlans<'_> {
+    type State = MpcState;
+
+    #[inline]
+    fn step(&self, s: &MpcState, _k: usize, level: usize, dl: f64) -> MpcState {
+        let q = self.quality[level];
+        let mut next = *s;
+        next.quality_sum += q;
+        if let Some(pq) = s.prev_q {
+            next.smooth += (q - pq).abs();
+        }
+        next.prev_q = Some(q);
+        if dl > next.buf {
+            next.rebuffer += dl - next.buf;
+            next.buf = 0.0;
+        } else {
+            next.buf -= dl;
+        }
+        next.buf += self.delta;
+        next
+    }
+
+    #[inline]
+    fn leaf(&mut self, s: &MpcState, first: usize) {
+        let score = s.quality_sum - self.lambda * s.smooth - self.mu * s.rebuffer;
+        if score > self.best_score {
+            self.best_score = score;
+            self.best_seq0 = first;
+        }
     }
 }
 
@@ -316,6 +370,24 @@ mod tests {
         let a = robust.choose_level(&ctx_with(&m, 30.0, 3.0e6, 0, &[]));
         let b = fresh.choose_level(&ctx_with(&m, 30.0, 3.0e6, 0, &[]));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon must be in")]
+    fn horizon_past_cap_is_rejected_at_construction() {
+        let _ = Mpc::new(MpcConfig {
+            horizon: MAX_HORIZON + 1,
+            ..MpcConfig::mpc()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon must be in")]
+    fn zero_horizon_is_rejected_at_construction() {
+        let _ = Mpc::new(MpcConfig {
+            horizon: 0,
+            ..MpcConfig::robust_mpc()
+        });
     }
 
     #[test]

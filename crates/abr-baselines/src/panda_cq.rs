@@ -19,7 +19,7 @@ use abr_sim::{AbrAlgorithm, DecisionContext};
 use vbr_video::quality::VmafModel;
 use vbr_video::Video;
 
-use crate::util::for_each_sequence;
+use crate::util::{PlanObjective, PlanSearch, MAX_HORIZON};
 
 /// Which window objective to optimize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,40 +52,49 @@ impl Default for PandaCqConfig {
 /// The PANDA/CQ scheme.
 #[derive(Debug, Clone)]
 pub struct PandaCq {
-    /// `quality[level][chunk]` — granted side information (see module docs).
-    quality: Vec<Vec<f64>>,
+    /// `quality[level * n_chunks + chunk]` — granted side information (see
+    /// module docs).
+    quality: Vec<f64>,
+    n_chunks: usize,
     objective: PandaCqObjective,
     config: PandaCqConfig,
     name: &'static str,
+    /// Per-decision tables, sized on the first decision and reused.
+    search: PlanSearch,
+    /// `window[k * n_tracks + level]` — quality of chunk `start + k`.
+    window: Vec<f64>,
 }
 
 impl PandaCq {
     /// Build from a video's quality table under the given VMAF model.
     ///
     /// # Panics
-    /// Panics on a zero horizon.
+    /// Panics unless `1 <= horizon <= `[`MAX_HORIZON`].
     pub fn from_video(
         video: &Video,
         model: VmafModel,
         objective: PandaCqObjective,
         config: PandaCqConfig,
     ) -> PandaCq {
-        assert!(config.horizon > 0);
+        assert!(
+            config.horizon > 0 && config.horizon <= MAX_HORIZON,
+            "horizon must be in 1..={MAX_HORIZON}"
+        );
+        let n_chunks = video.n_chunks();
         let quality = (0..video.n_tracks())
-            .map(|l| {
-                (0..video.n_chunks())
-                    .map(|i| video.quality(l, i).vmaf(model))
-                    .collect()
-            })
+            .flat_map(|l| (0..n_chunks).map(move |i| video.quality(l, i).vmaf(model)))
             .collect();
         PandaCq {
             quality,
+            n_chunks,
             objective,
             config,
             name: match objective {
                 PandaCqObjective::MaxSum => "PANDA/CQ max-sum",
                 PandaCqObjective::MaxMin => "PANDA/CQ max-min",
             },
+            search: PlanSearch::default(),
+            window: Vec::new(),
         }
     }
 
@@ -119,67 +128,118 @@ impl AbrAlgorithm for PandaCq {
     fn choose_level(&mut self, ctx: &DecisionContext) -> usize {
         let m = ctx.manifest;
         assert_eq!(
-            self.quality[0].len(),
+            self.n_chunks,
             m.n_chunks(),
             "PANDA/CQ quality table does not match this manifest"
         );
         let bw = ctx.bandwidth_or_conservative();
-        let delta = m.chunk_duration();
         let start = ctx.chunk_index;
         // Live streaming: plan only over published chunks.
         let visible = ctx.visible_chunks.min(m.n_chunks()).max(start + 1);
         let horizon = self.config.horizon.min(visible - start);
-        let safety = self.config.safety_buffer_s;
+        let n = m.n_tracks();
+        self.window.resize(horizon * n, 0.0);
+        for k in 0..horizon {
+            for l in 0..n {
+                self.window[k * n + l] = self.quality[l * self.n_chunks + start + k];
+            }
+        }
+        self.search.prepare(m, start, horizon, bw);
 
         // Among plans that keep the buffer above the safety margin, optimize
         // the quality objective; if no plan is safe, fall back to the plan
         // minimizing the buffer violation (which enumeration order makes the
         // all-lowest plan in practice).
-        let mut best_seq0 = 0usize;
-        let mut best_key = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        let mut fallback_seq0 = 0usize;
-        let mut fallback_violation = f64::INFINITY;
-        let mut any_safe = false;
-        for_each_sequence(m.n_tracks(), horizon, |seq| {
-            let mut buf = ctx.buffer_s;
-            let mut min_buf = f64::INFINITY;
-            let mut q_sum = 0.0;
-            let mut q_min = f64::INFINITY;
-            for (k, &level) in seq.iter().enumerate() {
-                let idx = start + k;
-                buf -= m.chunk_bits(level, idx) / bw;
-                min_buf = min_buf.min(buf);
-                buf = buf.max(0.0) + delta;
-                let q = self.quality[level][idx];
-                q_sum += q;
-                q_min = q_min.min(q);
-            }
-            if min_buf >= safety {
-                any_safe = true;
-                let key = match self.objective {
-                    PandaCqObjective::MaxSum => (q_sum, q_min),
-                    PandaCqObjective::MaxMin => (q_min, q_sum),
-                };
-                if key > best_key {
-                    best_key = key;
-                    best_seq0 = seq[0];
-                }
-            } else {
-                let violation = safety - min_buf;
-                if violation < fallback_violation {
-                    fallback_violation = violation;
-                    fallback_seq0 = seq[0];
-                }
-            }
-        });
-        if any_safe {
-            best_seq0
+        let mut plans = PandaPlans {
+            window: &self.window,
+            n_levels: n,
+            delta: m.chunk_duration(),
+            safety: self.config.safety_buffer_s,
+            objective: self.objective,
+            best_seq0: 0,
+            best_key: (f64::NEG_INFINITY, f64::NEG_INFINITY),
+            fallback_seq0: 0,
+            fallback_violation: f64::INFINITY,
+            any_safe: false,
+        };
+        let root = PandaState {
+            buf: ctx.buffer_s,
+            min_buf: f64::INFINITY,
+            q_sum: 0.0,
+            q_min: f64::INFINITY,
+        };
+        self.search.search(root, &mut plans);
+        if plans.any_safe {
+            plans.best_seq0
         } else {
-            fallback_seq0
+            plans.fallback_seq0
         }
     }
 
     fn reset(&mut self) {}
+}
+
+/// Partial state of a PANDA/CQ plan prefix.
+#[derive(Debug, Clone, Copy)]
+struct PandaState {
+    buf: f64,
+    min_buf: f64,
+    q_sum: f64,
+    q_min: f64,
+}
+
+/// The PANDA/CQ objective over one decision's plans, tracking the best safe
+/// plan and the least-violating fallback.
+struct PandaPlans<'a> {
+    window: &'a [f64],
+    n_levels: usize,
+    delta: f64,
+    safety: f64,
+    objective: PandaCqObjective,
+    best_seq0: usize,
+    best_key: (f64, f64),
+    fallback_seq0: usize,
+    fallback_violation: f64,
+    any_safe: bool,
+}
+
+impl PlanObjective for PandaPlans<'_> {
+    type State = PandaState;
+
+    #[inline]
+    fn step(&self, s: &PandaState, k: usize, level: usize, dl: f64) -> PandaState {
+        let mut buf = s.buf - dl;
+        let min_buf = s.min_buf.min(buf);
+        buf = buf.max(0.0) + self.delta;
+        let q = self.window[k * self.n_levels + level];
+        PandaState {
+            buf,
+            min_buf,
+            q_sum: s.q_sum + q,
+            q_min: s.q_min.min(q),
+        }
+    }
+
+    #[inline]
+    fn leaf(&mut self, s: &PandaState, first: usize) {
+        if s.min_buf >= self.safety {
+            self.any_safe = true;
+            let key = match self.objective {
+                PandaCqObjective::MaxSum => (s.q_sum, s.q_min),
+                PandaCqObjective::MaxMin => (s.q_min, s.q_sum),
+            };
+            if key > self.best_key {
+                self.best_key = key;
+                self.best_seq0 = first;
+            }
+        } else {
+            let violation = self.safety - s.min_buf;
+            if violation < self.fallback_violation {
+                self.fallback_violation = violation;
+                self.fallback_seq0 = first;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -269,6 +329,20 @@ mod tests {
             cq.choose_level(&ctx_with(&other, 30.0, 3.0e6, 0))
         }));
         assert!(result.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon must be in")]
+    fn horizon_past_cap_is_rejected_at_construction() {
+        let _ = PandaCq::from_video(
+            &Dataset::ed_youtube_h264(),
+            VmafModel::Phone,
+            PandaCqObjective::MaxSum,
+            PandaCqConfig {
+                horizon: MAX_HORIZON + 1,
+                ..PandaCqConfig::default()
+            },
+        );
     }
 
     #[test]

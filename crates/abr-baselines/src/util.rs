@@ -1,129 +1,190 @@
-//! Shared helpers for horizon-based schemes: level-sequence enumeration and
-//! buffer simulation over a candidate plan. Public so downstream users can
-//! build their own horizon-based ABR variants on the same primitives.
+//! Shared plan search for horizon-based schemes (MPC, RobustMPC, PANDA/CQ).
+//! Public so downstream users can build their own horizon-based ABR
+//! variants on the same primitive.
+//!
+//! A horizon scheme scores every level assignment ("plan") for the next `N`
+//! chunks. Plans that share a prefix share the partial state that prefix
+//! produces, so [`PlanSearch`] walks the plan tree depth first: each node
+//! extends its parent's state by one step, and the last step of every plan
+//! is scored inline. With the paper's N = 5 and 6 tracks that is
+//! 6 + 36 + … + 7776 = 9330 step evaluations per decision instead of the
+//! 5 × 7776 = 38880 a per-plan re-simulation needs. Download times come from
+//! a table built once per decision.
+//!
+//! Plans are visited in lexicographic order (first chunk's level most
+//! significant) and every partial state is the same sequence of f64
+//! operations a per-plan loop from the root would perform, so a scheme's
+//! decisions, ties included, equal those of exhaustive per-plan scoring.
 
-/// Longest horizon [`for_each_sequence`] supports. Horizon-based schemes
-/// use single-digit lookahead (the paper's MPC runs N = 5); the cap lets
-/// enumeration run on a stack buffer, keeping the decision hot path
-/// allocation-free (lint rule R7).
+use vbr_video::Manifest;
+
+/// Longest horizon a scheme may be configured with. Search cost is
+/// `n_levels^horizon`, so useful horizons are single digits (the paper's
+/// MPC runs N = 5); constructors reject anything longer so a bad
+/// configuration fails when it is built, not on its first decision.
 pub const MAX_HORIZON: usize = 16;
 
-/// Iterate every level assignment of length `horizon` over `n_levels`
-/// tracks, invoking `f` with each candidate sequence. Enumeration is
-/// `n_levels^horizon`; with the paper's N = 5 and 6 tracks that is 7776
-/// candidates per decision — cheap in release builds (see the
-/// `decision_overhead` bench). `horizon` must be at most [`MAX_HORIZON`].
-pub fn for_each_sequence(n_levels: usize, horizon: usize, mut f: impl FnMut(&[usize])) {
-    assert!(n_levels > 0 && horizon > 0 && horizon <= MAX_HORIZON);
-    let mut buf = [0usize; MAX_HORIZON];
-    let seq = &mut buf[..horizon];
-    loop {
-        f(seq);
-        // Increment the mixed-radix counter.
-        let mut pos = horizon;
-        loop {
-            if pos == 0 {
-                return;
-            }
-            pos -= 1;
-            seq[pos] += 1;
-            if seq[pos] < n_levels {
-                break;
-            }
-            seq[pos] = 0;
-        }
-        // Reset trailing digits happened in place; continue.
-    }
+/// A scheme's per-plan state and objective, driven by [`PlanSearch`].
+pub trait PlanObjective {
+    /// Partial state of a plan prefix (buffer, accumulated terms, …).
+    type State: Copy;
+
+    /// Extend `state` by downloading chunk `start + k` at `level`, which
+    /// takes `dl` seconds at the decision's bandwidth.
+    fn step(&self, state: &Self::State, k: usize, level: usize, dl: f64) -> Self::State;
+
+    /// Score a complete plan whose first chunk is at level `first`.
+    fn leaf(&mut self, state: &Self::State, first: usize);
 }
 
-/// Simulate the buffer over a candidate horizon with actual chunk sizes.
+/// Depth-first plan search with its per-decision download-time table.
+/// Call [`PlanSearch::prepare`] once per decision, then
+/// [`PlanSearch::search`].
 ///
-/// Starting from `buffer_s`, download chunks `start..start+seq.len()` at the
-/// levels in `seq`, each taking `size_bits / bandwidth` seconds, draining
-/// the buffer and stalling at zero; each finished chunk adds
-/// `chunk_duration`. Returns `(final_buffer_s, total_rebuffer_s)`.
-///
-/// `chunk_bits(level, index)` supplies sizes; indexes past the end of the
-/// video are skipped (the horizon shrinks near the end).
-pub fn simulate_horizon(
-    seq: &[usize],
-    start: usize,
-    n_chunks: usize,
-    buffer_s: f64,
-    chunk_duration: f64,
-    bandwidth_bps: f64,
-    chunk_bits: &dyn Fn(usize, usize) -> f64,
-) -> (f64, f64) {
-    debug_assert!(bandwidth_bps > 0.0);
-    let mut buf = buffer_s;
-    let mut rebuffer = 0.0;
-    for (k, &level) in seq.iter().enumerate() {
-        let idx = start + k;
-        if idx >= n_chunks {
-            break;
+/// The table lives in the instance and only allocates when it first grows
+/// to a horizon's size, so steady-state decisions do not allocate.
+#[derive(Debug, Clone, Default)]
+pub struct PlanSearch {
+    /// `dl[k * n_levels + l]` — seconds to download chunk `start + k` at
+    /// level `l`.
+    dl: Vec<f64>,
+    n_levels: usize,
+    horizon: usize,
+}
+
+impl PlanSearch {
+    /// Build the download-time table for chunks `start..start + horizon` of
+    /// `manifest` at `bandwidth_bps`.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= horizon <= MAX_HORIZON` and the horizon fits in
+    /// the video.
+    pub fn prepare(
+        &mut self,
+        manifest: &Manifest,
+        start: usize,
+        horizon: usize,
+        bandwidth_bps: f64,
+    ) {
+        assert!(horizon > 0 && horizon <= MAX_HORIZON && start + horizon <= manifest.n_chunks());
+        let n = manifest.n_tracks();
+        self.n_levels = n;
+        self.horizon = horizon;
+        self.dl.resize(horizon * n, 0.0);
+        for k in 0..horizon {
+            for l in 0..n {
+                self.dl[k * n + l] = manifest.chunk_bits(l, start + k) / bandwidth_bps;
+            }
         }
-        let dl = chunk_bits(level, idx) / bandwidth_bps;
-        if dl > buf {
-            rebuffer += dl - buf;
-            buf = 0.0;
-        } else {
-            buf -= dl;
-        }
-        buf += chunk_duration;
     }
-    (buf, rebuffer)
+
+    /// Visit every plan of the prepared horizon in lexicographic order,
+    /// starting from `root`, and hand each completed plan to
+    /// [`PlanObjective::leaf`].
+    pub fn search<O: PlanObjective>(&self, root: O::State, objective: &mut O) {
+        self.descend(objective, 0, &root, 0);
+    }
+
+    fn descend<O: PlanObjective>(&self, obj: &mut O, k: usize, state: &O::State, first: usize) {
+        let n = self.n_levels;
+        let row = &self.dl[k * n..(k + 1) * n];
+        if k + 1 == self.horizon {
+            // Last step: score every leaf here rather than one call per leaf.
+            for (l, &dl) in row.iter().enumerate() {
+                let leaf = obj.step(state, k, l, dl);
+                obj.leaf(&leaf, if k == 0 { l } else { first });
+            }
+        } else {
+            for (l, &dl) in row.iter().enumerate() {
+                let child = obj.step(state, k, l, dl);
+                self.descend(obj, k + 1, &child, if k == 0 { l } else { first });
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vbr_video::Dataset;
 
-    #[test]
-    fn enumerates_all_sequences() {
-        let mut seen = Vec::new();
-        for_each_sequence(3, 2, |s| seen.push(s.to_vec()));
-        assert_eq!(seen.len(), 9);
-        assert_eq!(seen[0], vec![0, 0]);
-        assert_eq!(seen[1], vec![0, 1]);
-        assert_eq!(seen[8], vec![2, 2]);
-        // All distinct.
-        let mut sorted = seen.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 9);
+    /// Records every visited plan as its level sequence.
+    struct Recorder {
+        plans: Vec<(Vec<usize>, usize)>,
+    }
+
+    impl PlanObjective for Recorder {
+        type State = ([usize; MAX_HORIZON], usize);
+
+        fn step(&self, state: &Self::State, k: usize, level: usize, _dl: f64) -> Self::State {
+            assert_eq!(state.1, k);
+            let mut seq = state.0;
+            seq[k] = level;
+            (seq, k + 1)
+        }
+
+        fn leaf(&mut self, state: &Self::State, first: usize) {
+            self.plans.push((state.0[..state.1].to_vec(), first));
+        }
+    }
+
+    fn visited(horizon: usize) -> (usize, Vec<(Vec<usize>, usize)>) {
+        let m = Manifest::from_video(&Dataset::ed_youtube_h264());
+        let mut search = PlanSearch::default();
+        search.prepare(&m, 0, horizon, 1.0e6);
+        let mut rec = Recorder { plans: Vec::new() };
+        search.search(([0; MAX_HORIZON], 0), &mut rec);
+        (m.n_tracks(), rec.plans)
     }
 
     #[test]
-    fn single_level_single_step() {
-        let mut count = 0;
-        for_each_sequence(1, 1, |s| {
-            assert_eq!(s, [0]);
-            count += 1;
-        });
-        assert_eq!(count, 1);
+    fn visits_every_plan_in_lexicographic_order() {
+        let (n, plans) = visited(3);
+        assert_eq!(plans.len(), n * n * n);
+        assert_eq!(plans[0].0, vec![0, 0, 0]);
+        assert_eq!(plans[1].0, vec![0, 0, 1]);
+        assert_eq!(plans[n].0, vec![0, 1, 0]);
+        assert_eq!(plans.last().unwrap().0, vec![n - 1; 3]);
+        assert!(plans.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(plans.iter().all(|(seq, first)| seq[0] == *first));
     }
 
     #[test]
-    fn horizon_sim_no_stall() {
-        // 2 chunks of 4e6 bits at 4 Mbps = 1s each; buffer 10s, Δ=2s.
-        let (buf, reb) = simulate_horizon(&[0, 0], 0, 100, 10.0, 2.0, 4.0e6, &|_l, _i| 4.0e6);
-        assert_eq!(reb, 0.0);
-        assert!((buf - 12.0).abs() < 1e-12); // 10 - 1 + 2 - 1 + 2
+    fn single_step_horizon_visits_each_level_once() {
+        let (n, plans) = visited(1);
+        let expected: Vec<_> = (0..n).map(|l| (vec![l], l)).collect();
+        assert_eq!(plans, expected);
     }
 
     #[test]
-    fn horizon_sim_stalls_at_zero() {
-        // One chunk of 8e6 bits at 1 Mbps = 8s; buffer 3s → 5s rebuffer.
-        let (buf, reb) = simulate_horizon(&[0], 0, 10, 3.0, 2.0, 1.0e6, &|_l, _i| 8.0e6);
-        assert!((reb - 5.0).abs() < 1e-12);
-        assert!((buf - 2.0).abs() < 1e-12);
+    fn download_table_matches_manifest() {
+        let m = Manifest::from_video(&Dataset::ed_youtube_h264());
+        let mut search = PlanSearch::default();
+        search.prepare(&m, 7, 4, 3.0e6);
+        let n = m.n_tracks();
+        assert_eq!((search.n_levels, search.horizon), (n, 4));
+        for k in 0..4 {
+            for l in 0..n {
+                assert_eq!(search.dl[k * n + l], m.chunk_bits(l, 7 + k) / 3.0e6);
+            }
+        }
+        // A shorter horizon later reuses the table without stale rows.
+        search.prepare(&m, m.n_chunks() - 1, 1, 2.0e6);
+        assert_eq!(search.horizon, 1);
+        assert_eq!(search.dl.len(), n);
     }
 
     #[test]
-    fn horizon_sim_truncates_at_video_end() {
-        let (buf, reb) = simulate_horizon(&[0, 0, 0], 9, 10, 5.0, 2.0, 1.0e6, &|_l, _i| 1.0e6);
-        // Only chunk 9 exists: one download of 1s.
-        assert_eq!(reb, 0.0);
-        assert!((buf - 6.0).abs() < 1e-12);
+    #[should_panic]
+    fn horizon_past_video_end_panics() {
+        let m = Manifest::from_video(&Dataset::ed_youtube_h264());
+        PlanSearch::default().prepare(&m, m.n_chunks() - 1, 2, 1.0e6);
+    }
+
+    #[test]
+    #[should_panic]
+    fn horizon_past_cap_panics() {
+        let m = Manifest::from_video(&Dataset::ed_youtube_h264());
+        PlanSearch::default().prepare(&m, 0, MAX_HORIZON + 1, 1.0e6);
     }
 }

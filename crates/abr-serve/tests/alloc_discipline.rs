@@ -38,6 +38,9 @@ fn quiet() -> std::sync::MutexGuard<'static, ()> {
 
 const VIDEO: &str = "ED-youtube-h264";
 const SCHEMES: [&str; 3] = ["cava", "bola", "rba"];
+/// The MPC family, gated in-process only: their plan-search tables are
+/// sized by the first decision and reused after it.
+const MPC_FAMILY: [&str; 4] = ["mpc", "robustmpc", "panda-max-sum", "panda-max-min"];
 /// Decisions measured per session after the warm-up decision.
 const MEASURED: usize = 48;
 
@@ -60,7 +63,7 @@ fn store_decide_is_allocation_free_after_first_decision() {
     assert!(counted_alloc::counting_enabled());
     let n_chunks = dataset_provider()(VIDEO).unwrap().manifest.n_chunks();
     assert!(n_chunks > 1 + MEASURED, "video too short for this test");
-    for scheme in SCHEMES {
+    for scheme in SCHEMES.into_iter().chain(MPC_FAMILY) {
         let store = SessionStore::new(
             StoreConfig {
                 capacity: 8,

@@ -24,7 +24,9 @@ fn schemes(video: &vbr_video::Video) -> Vec<Box<dyn AbrAlgorithm>> {
         Box::new(Cava::paper_default()),
         Box::new(Rba::paper_default()),
         Box::new(Bba1::paper_default()),
+        Box::new(Mpc::mpc()),
         Box::new(Mpc::robust()),
+        Box::new(PandaCq::max_sum(video, VmafModel::Phone)),
         Box::new(PandaCq::max_min(video, VmafModel::Phone)),
         Box::new(Bola::bola_e(BolaBitrateView::Segment)),
     ]
