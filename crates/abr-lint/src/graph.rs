@@ -37,7 +37,7 @@ pub struct HotFn {
     /// The function.
     pub fn_ref: FnRef,
     /// Call chain from a hot-path root to this function, e.g.
-    /// `["read_frame", "read_frame_budgeted", "read_full"]`. A root's
+    /// `["read_frame", "read_full"]`. A root's
     /// chain is just its own name.
     pub chain: Vec<String>,
 }

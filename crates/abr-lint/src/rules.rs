@@ -437,8 +437,6 @@ const LOCKED_IO_PATTERNS: &[&str] = &[
     ".read_to_end(",
     "write_frame(",
     "read_frame(",
-    "read_frame_budgeted(",
-    "read_frame_budgeted_traced(",
     "thread::sleep",
     "sleep(",
     ".accept(",

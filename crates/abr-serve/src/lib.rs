@@ -20,13 +20,11 @@
 //!   [`abr_sim::AbrAlgorithm`] state, shared manifest handles,
 //!   capacity-bounded admission with idle eviction and a stateless RBA
 //!   graceful-degradation fallback.
-//! * [`server`] — the TCP front end: the backend-agnostic frame core plus
-//!   two selectable backends — the default poll-based non-blocking
-//!   [`reactor`] (a few threads multiplexing whole fleets of nonblocking
-//!   connections) and the deprecated legacy thread-per-connection pool —
-//!   with clean frame-level shutdown either way.
+//! * [`server`] — the TCP front end: the frame core, served by the
+//!   poll-based non-blocking [`reactor`] (a few threads multiplexing whole
+//!   fleets of nonblocking connections), with clean frame-level shutdown.
 //! * [`reactor`] — the readiness-sweep event loop behind
-//!   [`server::Backend::Reactor`]: per-connection read/write buffers,
+//!   [`server::BoundServer::serve`]: per-connection read/write buffers,
 //!   incremental frame decode, batched responses, doze-tick deadlines.
 //! * [`loadgen`] — the deterministic fleet load generator: N simulated
 //!   players from `abr-sim` driven over real sockets with a seeded arrival

@@ -7,19 +7,36 @@
 //! same seed, same fleet, regardless of how many client connections carry
 //! it.
 //!
-//! Each session is the real simulator running with a remote-ABR adapter
-//! in the algorithm seat: every `choose_level` becomes a `Decide` frame on
-//! the wire. That makes the **decision parity** check exact — after the
-//! remote session completes, the same seed is replayed fully in-process
-//! and the two [`SessionResult`]s must compare equal, byte for byte. Any
-//! divergence between the serving layer and the simulator (history drift,
-//! float truncation, state reuse) fails the comparison.
+//! Each session is the real simulator suspended at every decision point
+//! ([`abr_sim::SessionStepper`]): each decision it needs becomes a
+//! `Decide` frame on the wire, and the server's answer is the level it
+//! plays. That makes the **decision parity** check exact — after the drive,
+//! the same seed is replayed fully in-process and the two
+//! [`SessionResult`]s must compare equal, byte for byte. Any divergence
+//! between the serving layer and the simulator (history drift, float
+//! truncation, state reuse) fails the comparison.
 //!
-//! In **hold** mode the fleet opens every session before driving any of
-//! them (two [`Barrier`]s), so the server really holds `sessions`
-//! concurrent sessions — the soak acceptance criterion. Hold mode needs a
-//! server worker pool at least as large as `connections`, because each
-//! worker owns one connection for its lifetime.
+//! **One drive loop.** Each connection keeps at most
+//! [`LoadgenConfig::pipeline`] sessions in flight and exchanges *waves*:
+//! one `Decide` per in-flight session, written as one flush and read back
+//! in request order, so `pipeline` decisions cost one syscall pair instead
+//! of `pipeline` round trips. A finished session's slot goes to the next
+//! session. The window bounds what is in flight, so client and server
+//! buffers can never mutually fill (no write–write deadlock). Sessions are
+//! independent, so results are byte-identical at every depth; a
+//! decision's latency is its wave's round trip. At `pipeline = 1` every
+//! wave is a single request/response, and each session runs to completion
+//! before the next starts — the serial drive, which is the only depth
+//! chaos mode accepts.
+//!
+//! In **hold** mode the fleet opens every session (batched by `pipeline`)
+//! before driving any of them (two [`Barrier`]s), so the server really
+//! holds `sessions` concurrent sessions — the soak acceptance criterion —
+//! and one connection samples the held count at the hold point. Closes
+//! follow the second barrier. In **arrival** mode a session is opened when
+//! it takes a slot and closed as soon as it finishes. Parity replays run
+//! after the drive window in both modes: they are local work, not serving
+//! load.
 //!
 //! **Chaos mode**: an optional seeded [`FaultConfig`] turns the fleet into
 //! a deterministic adversary. Every `period`-th frame send on a connection
@@ -44,20 +61,6 @@
 //! abandons are recorded as [`Event::Seek`]/[`Event::SessionAbandon`]
 //! annotations when a recorder is attached.
 //!
-//! **Pipeline mode**: setting [`LoadgenConfig::pipeline`] above 1 switches
-//! each connection from one round trip per decision to a batched wave
-//! drive built on [`abr_sim::SessionStepper`]. The connection opens all of
-//! its sessions (in batched waves), then repeatedly collects the next
-//! `DecisionRequest` from up to `pipeline` live sessions, writes them as
-//! one flush, and reads the responses back in order — turning `pipeline`
-//! decisions into a single syscall pair instead of `pipeline` round trips.
-//! The in-flight window is bounded by `pipeline` so client and server
-//! buffers can never mutually fill (no write–write deadlock). Sessions are
-//! independent, so wave results are byte-identical to the serial drive;
-//! per-decision latency is the wave's round-trip time. Pipeline mode is
-//! clean-path only (fault injection requires `pipeline == 1`) and always
-//! holds its sessions open for the whole drive.
-//!
 //! No wall clock is read here: latency measurement comes from the injected
 //! `now` closure (backed by the bench journal's `Stopwatch` in real use).
 //! Fault stalls and backoff use `thread::sleep`, which consumes time but
@@ -71,8 +74,7 @@ use crate::store::{VideoHandle, VideoProvider};
 use crate::{lock, protocol};
 use abr_pop::{Cohort, PopConfig, Population};
 use abr_sim::{
-    AbrAlgorithm, DecisionContext, DecisionRequest, PlayerConfig, SessionControl, SessionResult,
-    SessionStepper, Simulator,
+    AbrAlgorithm, PlayerConfig, SessionControl, SessionResult, SessionStepper, Simulator,
 };
 use net_trace::lte::{lte_trace, LteConfig};
 use sim_report::stats::percentile;
@@ -90,8 +92,7 @@ use vbr_video::quality::VmafModel;
 pub struct LoadgenConfig {
     /// Total sessions to run.
     pub sessions: usize,
-    /// Client connections (threads) carrying them. In hold mode this must
-    /// not exceed the server's worker-pool size.
+    /// Client connections (threads) carrying them.
     pub connections: usize,
     /// Master seed: shuffles arrival order and derives per-session trace
     /// seeds (`seed + session_index`).
@@ -118,11 +119,10 @@ pub struct LoadgenConfig {
     /// regimes, player configs, and VMAF models; `videos` and `schemes`
     /// are still assigned round-robin by population index.
     pub population: Option<PopConfig>,
-    /// Decisions batched per flush on each connection. `1` (the default)
-    /// drives sessions serially, one round trip per decision, and is the
-    /// only setting chaos mode accepts. Above 1 the connection switches to
-    /// the batched wave drive; keep `pipeline × ~100 B` under the socket
-    /// buffer (≤ 512 is always safe).
+    /// Sessions in flight per connection, and so decisions batched per
+    /// flush. `1` (the default) drives sessions serially, one round trip
+    /// per decision, and is the only setting chaos mode accepts. Keep
+    /// `pipeline × ~100 B` under the socket buffer (≤ 512 is always safe).
     pub pipeline: usize,
     /// Check decision parity on every `parity_every`-th session id
     /// (`session_id % parity_every == 0`). `1` checks every session
@@ -331,12 +331,14 @@ pub struct LoadgenReport {
     /// Wall time of the whole drive (connect through last close), from the
     /// injected clock.
     pub wall_time_s: f64,
-    /// Wall time of the *decision-serving* phase alone — the widest
-    /// barrier-to-barrier drive window across connections, excluding
-    /// opens, closes, and parity replays. Throughput rates divide by this.
+    /// Wall time of the *decision-serving* phase alone — the widest drive
+    /// window across connections: barrier to barrier in hold mode, which
+    /// excludes opens and closes; never parity replays. Throughput rates
+    /// divide by this.
     pub drive_wall_s: f64,
     /// Sessions the server held concurrently, sampled at the hold point
-    /// (pipeline mode only; `None` in the serial drive).
+    /// (hold mode only; `None` in arrival mode, or if the sampling
+    /// connection was down at the hold point).
     pub held_sessions: Option<u64>,
     /// Server counters sampled after the drive.
     pub server_stats: Option<StatsSnapshot>,
@@ -492,8 +494,9 @@ pub fn plan(config: &LoadgenConfig) -> Result<Vec<SessionPlan>, LoadgenError> {
         ));
     }
     if config.pipeline > 1 && config.faults.is_some() {
-        // Chaos needs the serial drive: the retry/resume machinery owns
-        // the wire one operation at a time.
+        // Chaos needs the serial drive: retry and resume resend one frame
+        // at a time, and a reconnect mid-wave would need the whole wave
+        // resent.
         return Err(LoadgenError::BadConfig(
             "fault injection requires pipeline 1".into(),
         ));
@@ -568,7 +571,7 @@ impl FrameIo {
         })
     }
 
-    /// Queue a frame without flushing — the pipeline drive's batcher.
+    /// Queue a frame without flushing — the wave batcher.
     /// Callers pair it with [`FrameIo::flush`] once the wave is written.
     fn send_buffered(&mut self, frame: &Frame) -> Result<(), LoadgenError> {
         protocol::write_frame(&mut self.writer, frame).map_err(LoadgenError::Wire)
@@ -626,10 +629,12 @@ struct Conn {
     rng: Lcg,
     sends: u64,
     ever_connected: bool,
-    /// Sessions this connection believes are open, in open order; every
-    /// reconnect re-attaches all of them with `ResumeSession` before any
-    /// frame is resent.
-    opened: Vec<u64>,
+    /// Sessions this connection believes are open, each with its open
+    /// sequence number; every reconnect re-attaches all of them, in open
+    /// order, with `ResumeSession` before any frame is resent.
+    opened: BTreeMap<u64, u64>,
+    /// Sequence number the next opened session gets.
+    open_seq: u64,
     /// Degraded flags learned from `ResumeOk`, so an open retry that lands
     /// on `DuplicateSession` still reports the right service mode.
     degraded_hint: BTreeMap<u64, bool>,
@@ -668,7 +673,8 @@ impl Conn {
             rng: Lcg(seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             sends: 0,
             ever_connected: false,
-            opened: Vec::new(),
+            opened: BTreeMap::new(),
+            open_seq: 0,
             degraded_hint: BTreeMap::new(),
             lost: BTreeSet::new(),
             last_call_retried: false,
@@ -682,7 +688,7 @@ impl Conn {
     /// Dial, handshake, and re-attach every session this connection has
     /// open. Resume answering `UnknownSession` is recorded, not fatal (the
     /// session may simply have closed with its ack lost); `SessionBusy` is
-    /// an error so the caller's backoff gives the old worker time to
+    /// an error so the caller's backoff gives the server time to
     /// finish tearing the dead connection down.
     fn dial(&mut self) -> Result<FrameIo, LoadgenError> {
         let mut io = FrameIo::connect(self.addr)?;
@@ -692,7 +698,10 @@ impl Conn {
             self.stats.reconnects += 1;
         }
         self.ever_connected = true;
-        for sid in self.opened.clone() {
+        let mut resume: Vec<(u64, u64)> =
+            self.opened.iter().map(|(&sid, &seq)| (seq, sid)).collect();
+        resume.sort_unstable();
+        for (_, sid) in resume {
             match io.call(&Frame::ResumeSession { session_id: sid })? {
                 Frame::ResumeOk {
                     session_id,
@@ -846,28 +855,83 @@ impl Conn {
         Err(last_err)
     }
 
+    /// Send a wave of frames and collect one reply per frame, in order,
+    /// into `replies`. A lone frame is a [`Conn::call`] — fault draw,
+    /// retries, reconnect and resume included — so a `pipeline = 1` drive
+    /// speaks exactly the serial protocol. A larger wave is written as one
+    /// flush and read back in order. It never carries faults (`plan`
+    /// rejects them above pipeline 1); a transport failure drops the
+    /// connection and fails every frame left unanswered, and the next wave
+    /// redials and resumes.
+    fn exchange(&mut self, frames: &[Frame], replies: &mut Vec<Result<Frame, String>>) {
+        replies.clear();
+        if let [frame] = frames {
+            replies.push(self.call(frame));
+            return;
+        }
+        self.last_call_retried = false;
+        self.last_call_faulted = false;
+        if frames.is_empty() {
+            return;
+        }
+        let sent = self.ensure_connected().and_then(|io| {
+            frames
+                .iter()
+                .try_for_each(|frame| io.send_buffered(frame))?;
+            io.flush()
+        });
+        if let Err(e) = sent {
+            self.io = None;
+            let e = e.to_string();
+            replies.extend(frames.iter().map(|_| Err(e.clone())));
+            return;
+        }
+        for _ in frames {
+            let reply = match self.io.as_mut().map(FrameIo::recv) {
+                Some(Ok(Frame::Error {
+                    code: ErrorCode::Timeout,
+                    message,
+                })) => Err(format!("server reaped connection: {message}")),
+                Some(Ok(frame)) => Ok(frame),
+                Some(Err(e)) => Err(e.to_string()),
+                None => Err("connection lost mid-wave".to_string()),
+            };
+            if reply.is_err() {
+                self.io = None;
+            }
+            replies.push(reply);
+        }
+    }
+
     fn forget(&mut self, sid: u64) {
-        self.opened.retain(|&s| s != sid);
+        self.opened.remove(&sid);
         self.lost.remove(&sid);
     }
 
-    /// Open a session (with retries). The id goes on the resume list
-    /// *before* the first send, so a reconnect mid-open re-attaches a
+    /// The `OpenSession` frame for `plan`. The id goes on the resume list
+    /// *before* the frame is sent, so a reconnect mid-open re-attaches a
     /// half-acknowledged session instead of leaking it; a retry landing on
     /// `DuplicateSession` after that resume is therefore a success.
     // abr-lint: cold — once-per-session control traffic, not the decision loop
-    fn open(&mut self, plan: &SessionPlan, vmaf: u8) -> Result<bool, String> {
+    fn open_frame(&mut self, plan: &SessionPlan, vmaf: u8) -> Frame {
         let sid = plan.session_id;
-        if !self.opened.contains(&sid) {
-            self.opened.push(sid);
+        if !self.opened.contains_key(&sid) {
+            self.opened.insert(sid, self.open_seq);
+            self.open_seq += 1;
         }
-        let result = self.call(&Frame::OpenSession {
+        Frame::OpenSession {
             session_id: sid,
             video: plan.video.clone(),
             scheme: plan.scheme.clone(),
             vmaf_model: vmaf,
-        });
-        match result {
+        }
+    }
+
+    /// Interpret the reply to session `sid`'s [`Conn::open_frame`]:
+    /// `Ok(degraded)` once the server holds the session.
+    // abr-lint: cold — once-per-session control traffic, not the decision loop
+    fn opened(&mut self, sid: u64, reply: Result<Frame, String>) -> Result<bool, String> {
+        match reply {
             Ok(Frame::OpenOk {
                 session_id,
                 degraded,
@@ -895,15 +959,15 @@ impl Conn {
         }
     }
 
-    /// Close a session (with retries). `None` decisions means the close
-    /// landed but its acknowledgement died with a connection — the
-    /// reconnect's resume pass already reported the session gone.
+    /// Interpret the reply to session `sid`'s `CloseSession`. `None`
+    /// decisions means the close landed but its acknowledgement died with
+    /// a connection — the reconnect's resume pass already reported the
+    /// session gone.
     // abr-lint: cold — once-per-session control traffic, not the decision loop
-    fn close(&mut self, sid: u64) -> Result<Option<u64>, String> {
-        let result = self.call(&Frame::CloseSession { session_id: sid });
+    fn closed(&mut self, sid: u64, reply: Result<Frame, String>) -> Result<Option<u64>, String> {
         let was_lost = self.lost.contains(&sid);
         self.forget(sid);
-        match result {
+        match reply {
             Ok(Frame::Closed {
                 session_id,
                 decisions,
@@ -917,126 +981,6 @@ impl Conn {
             Err(e) => Err(e),
         }
     }
-}
-
-/// The algorithm-seat adapter: every `choose_level` is a round trip.
-struct RemoteAbr<'a> {
-    conn: &'a mut Conn,
-    session_id: u64,
-    display_name: String,
-    now: &'a (dyn Fn() -> f64 + Sync),
-    latencies_s: Vec<f64>,
-    latency_faulted: Vec<bool>,
-    degraded: bool,
-    error: Option<String>,
-}
-
-impl AbrAlgorithm for RemoteAbr<'_> {
-    fn name(&self) -> &str {
-        // The local scheme's display name, so the remote SessionResult is
-        // comparable field-for-field with the parity replay.
-        &self.display_name
-    }
-
-    // abr-lint: cold — performs a real network round-trip by design
-    fn choose_level(&mut self, ctx: &DecisionContext) -> usize {
-        if self.error.is_some() {
-            // The session already failed; finish the replay locally at the
-            // lowest level instead of hammering a broken connection.
-            return 0;
-        }
-        let request = DecisionRequest::from_context(ctx);
-        let t0 = (self.now)();
-        match self.conn.call(&Frame::Decide {
-            session_id: self.session_id,
-            request,
-        }) {
-            Ok(Frame::Decision {
-                session_id,
-                response,
-            }) if session_id == self.session_id => {
-                self.latencies_s.push((self.now)() - t0);
-                self.latency_faulted
-                    .push(self.conn.last_call_faulted || self.conn.last_call_retried);
-                self.degraded |= response.degraded;
-                if response.level < ctx.manifest.n_tracks() {
-                    response.level
-                } else {
-                    self.error = Some(format!(
-                        "server chose level {} outside 0..{}",
-                        response.level,
-                        ctx.manifest.n_tracks()
-                    ));
-                    0
-                }
-            }
-            Ok(Frame::Error { code, message }) => {
-                self.error = Some(format!("{code:?}: {message}"));
-                0
-            }
-            Ok(other) => {
-                self.error = Some(format!("unexpected reply {other:?}"));
-                0
-            }
-            Err(e) => {
-                self.error = Some(e);
-                0
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        // Server-side state was fresh at OpenSession; nothing to clear.
-    }
-}
-
-/// Drive one opened session to completion and (optionally) replay it
-/// in-process for the parity verdict.
-fn drive_session(
-    conn: &mut Conn,
-    out: &mut SessionOutcome,
-    config: &LoadgenConfig,
-    provider: &VideoProvider,
-    now: &(dyn Fn() -> f64 + Sync),
-) {
-    let Some(handle) = provider(&out.plan.video) else {
-        out.error = Some(format!("provider lost video {:?}", out.plan.video));
-        return;
-    };
-    let vmaf = out.plan.vmaf(config.vmaf_model);
-    let mut local = match scheme::build_scheme(&out.plan.scheme, &handle.video, vmaf) {
-        Ok(algo) => algo,
-        Err(e) => {
-            out.error = Some(e);
-            return;
-        }
-    };
-    let trace = out.plan.trace();
-    let control = out.plan.control.clone();
-    let sim = Simulator::new(out.plan.player(config.player));
-    let mut remote = RemoteAbr {
-        conn,
-        session_id: out.plan.session_id,
-        display_name: local.name().to_string(),
-        now,
-        latencies_s: Vec::new(),
-        latency_faulted: Vec::new(),
-        degraded: false,
-        error: None,
-    };
-    let result = sim.run_controlled(&mut remote, &handle.manifest, &trace, &control);
-    out.degraded |= remote.degraded;
-    out.latencies_s = remote.latencies_s;
-    out.latency_faulted = remote.latency_faulted;
-    out.error = remote.error;
-    if out.error.is_none() && parity_selected(config, out.plan.session_id) && !out.degraded {
-        let replay = sim.run_controlled(local.as_mut(), &handle.manifest, &trace, &control);
-        out.parity = Some(replay == result);
-    }
-    if let Some(recorder) = &conn.recorder {
-        record_behaviour(recorder, out.plan.session_id, &control, &result);
-    }
-    out.result = Some(result);
 }
 
 /// Should this session's decisions be parity-replayed in-process? Sampled
@@ -1082,7 +1026,7 @@ struct FleetShared {
     /// Widest first-barrier-to-second-barrier window across connections —
     /// the denominator for decision throughput.
     drive_wall_s: Mutex<f64>,
-    /// `open_sessions` sampled at the hold point (pipeline mode only).
+    /// `open_sessions` sampled at the hold point (hold mode only).
     held_sessions: Mutex<Option<u64>>,
 }
 
@@ -1104,6 +1048,265 @@ impl FleetShared {
     }
 }
 
+/// Per-session inputs resolved once per drive: the video, the network
+/// trace, and the resolved player configuration.
+struct SessionCtx {
+    handle: VideoHandle,
+    trace: net_trace::Trace,
+    player: PlayerConfig,
+    /// The local scheme's display name, stamped into the remote result so
+    /// it compares field-for-field with the parity replay.
+    name: String,
+    /// The local scheme instance, kept only when the session is selected
+    /// for the parity replay.
+    local: Option<Box<dyn AbrAlgorithm>>,
+}
+
+impl SessionCtx {
+    fn build(
+        plan: &SessionPlan,
+        config: &LoadgenConfig,
+        provider: &VideoProvider,
+    ) -> Result<SessionCtx, String> {
+        let handle =
+            provider(&plan.video).ok_or_else(|| format!("provider lost video {:?}", plan.video))?;
+        let local =
+            scheme::build_scheme(&plan.scheme, &handle.video, plan.vmaf(config.vmaf_model))?;
+        Ok(SessionCtx {
+            trace: plan.trace(),
+            player: plan.player(config.player),
+            name: local.name().to_string(),
+            local: parity_selected(config, plan.session_id).then_some(local),
+            handle,
+        })
+    }
+}
+
+/// A session in flight: its index into the connection's plans, its
+/// inputs, and the simulator suspended at its next decision point.
+struct Live<'c> {
+    i: usize,
+    ctx: &'c SessionCtx,
+    stepper: SessionStepper<'c>,
+}
+
+/// Fold one `Decide` reply into its session: apply the chosen level, or
+/// record the error and finish the session locally at the lowest level,
+/// so no further frame goes out for it.
+fn apply_reply(
+    out: &mut SessionOutcome,
+    slot: &mut Live<'_>,
+    reply: Result<Frame, String>,
+    rtt: f64,
+    faulted: bool,
+) {
+    let n_tracks = slot.ctx.handle.manifest.n_tracks();
+    let error = match reply {
+        Ok(Frame::Decision {
+            session_id,
+            response,
+        }) if session_id == out.plan.session_id => {
+            if response.level < n_tracks {
+                out.degraded |= response.degraded;
+                out.latencies_s.push(rtt);
+                out.latency_faulted.push(faulted);
+                slot.stepper.apply_level(response.level);
+                return;
+            }
+            format!(
+                "server chose level {} outside 0..{n_tracks}",
+                response.level
+            )
+        }
+        Ok(Frame::Error { code, message }) => format!("{code:?}: {message}"),
+        Ok(other) => format!("unexpected reply {other:?}"),
+        Err(e) => e,
+    };
+    out.error = Some(error);
+    slot.stepper.apply_level(0);
+    while slot.stepper.next_request().is_some() {
+        slot.stepper.apply_level(0);
+    }
+}
+
+/// One connection's drive: the fault-aware endpoint, the sessions it
+/// carries, and what each of them produced.
+struct Drive<'a> {
+    conn: Conn,
+    plans: &'a [SessionPlan],
+    config: &'a LoadgenConfig,
+    now: &'a (dyn Fn() -> f64 + Sync),
+    outcomes: Vec<SessionOutcome>,
+}
+
+impl Drive<'_> {
+    /// Open the sessions `batch` names in one wave, recording each one's
+    /// service mode or error.
+    // abr-lint: cold — once-per-session control traffic, not the decision loop
+    fn open_batch(&mut self, batch: &[usize]) {
+        let plans = self.plans;
+        let mut frames = Vec::with_capacity(batch.len());
+        for &i in batch {
+            let vmaf = scheme::vmaf_model_code(plans[i].vmaf(self.config.vmaf_model));
+            frames.push(self.conn.open_frame(&plans[i], vmaf));
+        }
+        let mut replies = Vec::with_capacity(batch.len());
+        self.conn.exchange(&frames, &mut replies);
+        for (&i, reply) in batch.iter().zip(replies) {
+            match self.conn.opened(plans[i].session_id, reply) {
+                Ok(degraded) => self.outcomes[i].degraded = degraded,
+                Err(e) => self.outcomes[i].error = Some(e),
+            }
+        }
+    }
+
+    /// Close the sessions `batch` names in one wave, recording each one's
+    /// server-side decision count or error.
+    // abr-lint: cold — once-per-session control traffic, not the decision loop
+    fn close_batch(&mut self, batch: &[usize]) {
+        let plans = self.plans;
+        let frames: Vec<Frame> = batch
+            .iter()
+            .map(|&i| Frame::CloseSession {
+                session_id: plans[i].session_id,
+            })
+            .collect();
+        let mut replies = Vec::with_capacity(batch.len());
+        self.conn.exchange(&frames, &mut replies);
+        for (&i, reply) in batch.iter().zip(replies) {
+            match self.conn.closed(plans[i].session_id, reply) {
+                Ok(decisions) => self.outcomes[i].closed_decisions = decisions,
+                Err(e) => self.outcomes[i].error = Some(e),
+            }
+        }
+    }
+
+    /// Drive the sessions `order` names to completion: at most `pipeline`
+    /// in flight, each wave one `Decide` per in-flight session, and a
+    /// finished session's slot going to the next in `order`. With
+    /// `arrival` a session is opened when it takes a slot and closed as
+    /// soon as it finishes; otherwise every session is already open and
+    /// stays open.
+    fn drive(&mut self, order: &[usize], ctxs: &[Option<SessionCtx>], arrival: bool) {
+        let pipeline = self.config.pipeline;
+        let plans = self.plans;
+        let mut live: Vec<Live<'_>> = Vec::with_capacity(pipeline);
+        let mut admitted: Vec<usize> = Vec::with_capacity(pipeline);
+        let mut finished: Vec<usize> = Vec::with_capacity(pipeline);
+        let mut frames: Vec<Frame> = Vec::with_capacity(pipeline);
+        let mut replies = Vec::with_capacity(pipeline);
+        let mut next = 0;
+        loop {
+            admitted.clear();
+            while live.len() + admitted.len() < pipeline && next < order.len() {
+                admitted.push(order[next]);
+                next += 1;
+            }
+            if arrival {
+                self.open_batch(&admitted);
+            }
+            for &i in &admitted {
+                if let (Some(ctx), None) = (&ctxs[i], &self.outcomes[i].error) {
+                    let stepper = SessionStepper::new(
+                        &Simulator::new(ctx.player),
+                        &ctx.handle.manifest,
+                        &ctx.trace,
+                        &plans[i].control,
+                    );
+                    live.push(Live { i, ctx, stepper });
+                }
+            }
+            if live.is_empty() && next == order.len() {
+                break;
+            }
+
+            // Collect the wave; sessions that are over leave their slot.
+            frames.clear();
+            finished.clear();
+            let mut k = 0;
+            while k < live.len() {
+                match live[k].stepper.next_request() {
+                    Some(request) => {
+                        frames.push(Frame::Decide {
+                            session_id: plans[live[k].i].session_id,
+                            request,
+                        });
+                        k += 1;
+                    }
+                    None => {
+                        let done = live.remove(k);
+                        if self.outcomes[done.i].error.is_none() {
+                            finished.push(done.i);
+                        }
+                        self.finish(done);
+                    }
+                }
+            }
+            if arrival {
+                self.close_batch(&finished);
+            }
+            if frames.is_empty() {
+                continue;
+            }
+
+            // Every decision in the wave shares its round trip.
+            let t0 = (self.now)();
+            self.conn.exchange(&frames, &mut replies);
+            let rtt = (self.now)() - t0;
+            let faulted = self.conn.last_call_faulted || self.conn.last_call_retried;
+            for (slot, reply) in live.iter_mut().zip(replies.drain(..)) {
+                apply_reply(&mut self.outcomes[slot.i], slot, reply, rtt, faulted);
+            }
+        }
+    }
+
+    /// A session is over: keep its result and log its behaviour.
+    fn finish(&mut self, done: Live<'_>) {
+        let plan = &self.plans[done.i];
+        let result = done.stepper.into_result(&done.ctx.name);
+        if let Some(recorder) = &self.conn.recorder {
+            record_behaviour(recorder, plan.session_id, &plan.control, &result);
+        }
+        self.outcomes[done.i].result = Some(result);
+    }
+
+    /// Sample the server's open-session count over this connection at the
+    /// hold point. The request bypasses the fault schedule, and a dead
+    /// connection is not redialed here — the next wave does that.
+    fn sample_held(&mut self) -> Option<u64> {
+        let reply = self.conn.io.as_mut()?.call(&Frame::StatsReq);
+        match reply {
+            Ok(Frame::StatsReply(stats)) => Some(stats.open_sessions),
+            Ok(_) => None,
+            Err(_) => {
+                self.conn.io = None;
+                None
+            }
+        }
+    }
+
+    /// Replay every selected, cleanly served session in-process and record
+    /// the verdict. Local work, so it runs outside the drive window.
+    fn check_parity(&mut self, ctxs: &mut [Option<SessionCtx>]) {
+        for (out, ctx) in self.outcomes.iter_mut().zip(ctxs) {
+            let Some(ctx) = ctx else { continue };
+            let (Some(local), Some(result)) = (ctx.local.as_mut(), &out.result) else {
+                continue;
+            };
+            if out.error.is_some() || out.degraded {
+                continue;
+            }
+            let replay = Simulator::new(ctx.player).run_controlled(
+                local.as_mut(),
+                &ctx.handle.manifest,
+                &ctx.trace,
+                &out.plan.control,
+            );
+            out.parity = Some(replay == *result);
+        }
+    }
+}
+
 /// One client connection's whole lifetime. Always hits every barrier the
 /// other connections will, even after a fatal connect error — otherwise a
 /// failed client would deadlock the fleet.
@@ -1118,416 +1321,65 @@ fn drive_connection(
     shared: &FleetShared,
     recorder: Option<Arc<Recorder>>,
 ) -> (Vec<SessionOutcome>, Option<LoadgenError>, ClientStats) {
-    let mut outcomes: Vec<SessionOutcome> = plans
-        .iter()
-        .map(|p| SessionOutcome::new(p.clone()))
-        .collect();
-    let vmaf = |out: &SessionOutcome| scheme::vmaf_model_code(out.plan.vmaf(config.vmaf_model));
     let mut conn = Conn::new(addr, index, config.faults, recorder);
-    let mut fatal = None;
-    if let Err(e) = conn.connect_now() {
-        for out in &mut outcomes {
-            out.error = Some(format!("connection failed: {e}"));
-        }
-        fatal = Some(e);
-    }
-    let alive = fatal.is_none();
+    let fatal = conn.connect_now().err();
+    let mut drive = Drive {
+        conn,
+        plans,
+        config,
+        now,
+        outcomes: plans
+            .iter()
+            .map(|p| SessionOutcome::new(p.clone()))
+            .collect(),
+    };
+    // Resolve every session's inputs up front; failures stay per-session.
+    let mut ctxs: Vec<Option<SessionCtx>> = drive
+        .outcomes
+        .iter_mut()
+        .map(|out| {
+            let ctx = match &fatal {
+                Some(e) => Err(format!("connection failed: {e}")),
+                None => SessionCtx::build(&out.plan, config, provider),
+            };
+            ctx.map_err(|e| out.error = Some(e)).ok()
+        })
+        .collect();
+    let ready: Vec<usize> = (0..plans.len()).filter(|&i| ctxs[i].is_some()).collect();
 
     if config.hold {
-        if alive {
-            for out in &mut outcomes {
-                match conn.open(&out.plan, vmaf(out)) {
-                    Ok(degraded) => out.degraded = degraded,
-                    Err(e) => out.error = Some(e),
-                }
+        for batch in ready.chunks(config.pipeline) {
+            drive.open_batch(batch);
+        }
+        if shared.barrier.wait().is_leader() {
+            if let Some(held) = drive.sample_held() {
+                *lock(&shared.held_sessions) = Some(held);
             }
         }
-        shared.barrier.wait();
         let t_drive = now();
-        if alive {
-            for out in &mut outcomes {
-                if out.error.is_none() {
-                    drive_session(&mut conn, out, config, provider, now);
-                }
-            }
-        }
+        let opened: Vec<usize> = ready
+            .into_iter()
+            .filter(|&i| drive.outcomes[i].error.is_none())
+            .collect();
+        drive.drive(&opened, &ctxs, false);
         shared.note_drive(now() - t_drive);
         shared.barrier.wait();
-        if alive {
-            for out in &mut outcomes {
-                if out.error.is_none() {
-                    match conn.close(out.plan.session_id) {
-                        Ok(decisions) => out.closed_decisions = decisions,
-                        Err(e) => out.error = Some(e),
-                    }
-                }
-            }
+        let closable: Vec<usize> = opened
+            .into_iter()
+            .filter(|&i| drive.outcomes[i].error.is_none())
+            .collect();
+        for batch in closable.chunks(config.pipeline) {
+            drive.close_batch(batch);
         }
-    } else if alive {
+    } else {
         // Arrival mode has no hold phase: the drive window spans the whole
         // open→drive→close loop.
         let t_drive = now();
-        for out in &mut outcomes {
-            match conn.open(&out.plan, vmaf(out)) {
-                Ok(degraded) => out.degraded = degraded,
-                Err(e) => {
-                    out.error = Some(e);
-                    continue;
-                }
-            }
-            drive_session(&mut conn, out, config, provider, now);
-            if out.error.is_none() {
-                match conn.close(out.plan.session_id) {
-                    Ok(decisions) => out.closed_decisions = decisions,
-                    Err(e) => out.error = Some(e),
-                }
-            }
-        }
+        drive.drive(&ready, &ctxs, true);
         shared.note_drive(now() - t_drive);
     }
-    (outcomes, fatal, conn.stats)
-}
-
-/// Per-session owned state the pipeline steppers borrow: the video, the
-/// network trace, the behaviour overlay, and the resolved player/VMAF
-/// configuration.
-struct PipeCtx {
-    handle: VideoHandle,
-    trace: net_trace::Trace,
-    control: SessionControl,
-    player: PlayerConfig,
-    vmaf: VmafModel,
-    /// The local scheme's display name, stamped into the remote result so
-    /// it compares field-for-field with the parity replay.
-    name: String,
-}
-
-/// One connection's lifetime in pipeline mode: batched opens, the wave
-/// drive, batched closes, then parity replays. Clean-path only — `plan()`
-/// rejects fault injection above pipeline 1 — so transport errors are
-/// fatal to the connection rather than retried, exactly like a serial
-/// no-fault run.
-fn drive_connection_pipeline(
-    addr: SocketAddr,
-    plans: &[SessionPlan],
-    config: &LoadgenConfig,
-    provider: &VideoProvider,
-    now: &(dyn Fn() -> f64 + Sync),
-    shared: &FleetShared,
-    recorder: Option<Arc<Recorder>>,
-) -> (Vec<SessionOutcome>, Option<LoadgenError>, ClientStats) {
-    let mut outcomes: Vec<SessionOutcome> = plans
-        .iter()
-        .map(|p| SessionOutcome::new(p.clone()))
-        .collect();
-    let mut stats = ClientStats::default();
-    let mut fatal: Option<LoadgenError> = None;
-
-    let mut io = match FrameIo::connect(addr).and_then(|mut io| {
-        io.handshake()?;
-        Ok(io)
-    }) {
-        Ok(io) => {
-            stats.sockopt_errors += io.sockopt_errors;
-            Some(io)
-        }
-        Err(e) => {
-            fatal = Some(e);
-            None
-        }
-    };
-
-    // Resolve every session's context up front; failures stay per-session.
-    let ctxs: Vec<Option<PipeCtx>> = outcomes
-        .iter_mut()
-        .map(|out| {
-            io.as_ref()?;
-            let Some(handle) = provider(&out.plan.video) else {
-                out.error = Some(format!("provider lost video {:?}", out.plan.video));
-                return None;
-            };
-            let vmaf = out.plan.vmaf(config.vmaf_model);
-            let name = match scheme::build_scheme(&out.plan.scheme, &handle.video, vmaf) {
-                Ok(algo) => algo.name().to_string(),
-                Err(e) => {
-                    out.error = Some(e);
-                    return None;
-                }
-            };
-            Some(PipeCtx {
-                trace: out.plan.trace(),
-                control: out.plan.control.clone(),
-                player: out.plan.player(config.player),
-                vmaf,
-                name,
-                handle,
-            })
-        })
-        .collect();
-
-    // Batched opens: `pipeline` OpenSession frames per flush, replies read
-    // back in request order.
-    if let Some(io) = io.as_mut() {
-        let openable: Vec<usize> = (0..outcomes.len())
-            .filter(|&i| ctxs[i].is_some() && outcomes[i].error.is_none())
-            .collect();
-        'open: for batch in openable.chunks(config.pipeline) {
-            for &i in batch {
-                let out = &outcomes[i];
-                let frame = Frame::OpenSession {
-                    session_id: out.plan.session_id,
-                    video: out.plan.video.clone(),
-                    scheme: out.plan.scheme.clone(),
-                    vmaf_model: scheme::vmaf_model_code(
-                        ctxs[i].as_ref().expect("openable ctx").vmaf,
-                    ),
-                };
-                if let Err(e) = io.send_buffered(&frame) {
-                    fatal = Some(e);
-                    break 'open;
-                }
-            }
-            if let Err(e) = io.flush() {
-                fatal = Some(e);
-                break 'open;
-            }
-            for &i in batch {
-                let sid = outcomes[i].plan.session_id;
-                match io.recv() {
-                    Ok(Frame::OpenOk {
-                        session_id,
-                        degraded,
-                        ..
-                    }) if session_id == sid => outcomes[i].degraded = degraded,
-                    Ok(Frame::Error { code, message }) => {
-                        outcomes[i].error = Some(format!("{code:?}: {message}"));
-                    }
-                    Ok(other) => {
-                        outcomes[i].error = Some(format!("unexpected reply {other:?}"));
-                    }
-                    Err(e) => {
-                        fatal = Some(e);
-                        break 'open;
-                    }
-                }
-            }
-        }
-    }
-
-    // The fleet now holds every session; the leader samples the server's
-    // count over its own connection (a fresh dial would need a free server
-    // worker, which a fully-held threaded backend does not have).
-    let leader = shared.barrier.wait().is_leader();
-    if leader && fatal.is_none() {
-        if let Some(io) = io.as_mut() {
-            if let Ok(Frame::StatsReply(s)) = io.call(&Frame::StatsReq) {
-                *lock(&shared.held_sessions) = Some(s.open_sessions);
-            }
-        }
-    }
-    let t_drive = now();
-
-    if fatal.is_none() {
-        if let Some(io) = io.as_mut() {
-            // Steppers borrow the contexts built above; one per session
-            // that opened cleanly.
-            let mut steppers: Vec<Option<SessionStepper<'_>>> = ctxs
-                .iter()
-                .zip(&outcomes)
-                .map(|(ctx, out)| {
-                    let ctx = ctx.as_ref()?;
-                    if out.error.is_some() {
-                        return None;
-                    }
-                    Some(SessionStepper::new(
-                        &Simulator::new(ctx.player),
-                        &ctx.handle.manifest,
-                        &ctx.trace,
-                        &ctx.control,
-                    ))
-                })
-                .collect();
-            let mut active: Vec<usize> = (0..steppers.len())
-                .filter(|&i| steppers[i].is_some())
-                .collect();
-            let mut wave: Vec<usize> = Vec::with_capacity(config.pipeline);
-            let mut survivors: Vec<usize> = Vec::with_capacity(config.pipeline);
-            'drive: while !active.is_empty() {
-                let mut next_active = Vec::with_capacity(active.len());
-                let mut cursor = 0;
-                while cursor < active.len() {
-                    // Fill one wave: the next `pipeline` live sessions'
-                    // requests, written as a single flush. Steppers that
-                    // report the session over fold into their result here.
-                    wave.clear();
-                    while cursor < active.len() && wave.len() < config.pipeline {
-                        let i = active[cursor];
-                        cursor += 1;
-                        let stepper = steppers[i].as_mut().expect("active stepper");
-                        match stepper.next_request() {
-                            Some(request) => {
-                                let frame = Frame::Decide {
-                                    session_id: outcomes[i].plan.session_id,
-                                    request,
-                                };
-                                if let Err(e) = io.send_buffered(&frame) {
-                                    fatal = Some(e);
-                                    break 'drive;
-                                }
-                                wave.push(i);
-                            }
-                            None => {
-                                let stepper = steppers[i].take().expect("finished stepper");
-                                let name = &ctxs[i].as_ref().expect("ctx for stepper").name;
-                                outcomes[i].result = Some(stepper.into_result(name));
-                            }
-                        }
-                    }
-                    if wave.is_empty() {
-                        continue;
-                    }
-                    let t0 = now();
-                    if let Err(e) = io.flush() {
-                        fatal = Some(e);
-                        break 'drive;
-                    }
-                    survivors.clear();
-                    for &i in &wave {
-                        let sid = outcomes[i].plan.session_id;
-                        match io.recv() {
-                            Ok(Frame::Decision {
-                                session_id,
-                                response,
-                            }) if session_id == sid => {
-                                let n_tracks =
-                                    ctxs[i].as_ref().expect("ctx").handle.manifest.n_tracks();
-                                if response.level < n_tracks {
-                                    outcomes[i].degraded |= response.degraded;
-                                    steppers[i]
-                                        .as_mut()
-                                        .expect("pending stepper")
-                                        .apply_level(response.level);
-                                    survivors.push(i);
-                                } else {
-                                    outcomes[i].error = Some(format!(
-                                        "server chose level {} outside 0..{n_tracks}",
-                                        response.level
-                                    ));
-                                    steppers[i] = None;
-                                }
-                            }
-                            Ok(Frame::Error { code, message }) => {
-                                outcomes[i].error = Some(format!("{code:?}: {message}"));
-                                steppers[i] = None;
-                            }
-                            Ok(other) => {
-                                outcomes[i].error = Some(format!("unexpected reply {other:?}"));
-                                steppers[i] = None;
-                            }
-                            Err(e) => {
-                                fatal = Some(e);
-                                break 'drive;
-                            }
-                        }
-                    }
-                    // Every decision in the wave shares its round trip.
-                    let rtt = now() - t0;
-                    for &i in &survivors {
-                        outcomes[i].latencies_s.push(rtt);
-                        outcomes[i].latency_faulted.push(false);
-                        next_active.push(i);
-                    }
-                }
-                active = next_active;
-            }
-        }
-    }
-    shared.note_drive(now() - t_drive);
-    shared.barrier.wait();
-
-    // Batched closes, same wave shape as the opens.
-    if fatal.is_none() {
-        if let Some(io) = io.as_mut() {
-            let closable: Vec<usize> = (0..outcomes.len())
-                .filter(|&i| outcomes[i].error.is_none() && ctxs[i].is_some())
-                .collect();
-            'close: for batch in closable.chunks(config.pipeline) {
-                for &i in batch {
-                    let frame = Frame::CloseSession {
-                        session_id: outcomes[i].plan.session_id,
-                    };
-                    if let Err(e) = io.send_buffered(&frame) {
-                        fatal = Some(e);
-                        break 'close;
-                    }
-                }
-                if let Err(e) = io.flush() {
-                    fatal = Some(e);
-                    break 'close;
-                }
-                for &i in batch {
-                    let sid = outcomes[i].plan.session_id;
-                    match io.recv() {
-                        Ok(Frame::Closed {
-                            session_id,
-                            decisions,
-                        }) if session_id == sid => {
-                            outcomes[i].closed_decisions = Some(decisions);
-                        }
-                        Ok(Frame::Error { code, message }) => {
-                            outcomes[i].error = Some(format!("{code:?}: {message}"));
-                        }
-                        Ok(other) => {
-                            outcomes[i].error = Some(format!("unexpected reply {other:?}"));
-                        }
-                        Err(e) => {
-                            fatal = Some(e);
-                            break 'close;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // A dead connection fails every session it had not fully finished.
-    if let Some(e) = &fatal {
-        for out in &mut outcomes {
-            if out.error.is_none() && out.closed_decisions.is_none() {
-                out.error = Some(format!("connection failed: {e}"));
-            }
-        }
-    }
-
-    // Parity replays and behaviour annotations run outside the drive
-    // window — they are local work, not serving load.
-    for (ctx, out) in ctxs.iter().zip(&mut outcomes) {
-        let Some(ctx) = ctx.as_ref() else { continue };
-        let Some(result) = out.result.take() else {
-            continue;
-        };
-        if let Some(recorder) = &recorder {
-            record_behaviour(recorder, out.plan.session_id, &ctx.control, &result);
-        }
-        if out.error.is_none() && parity_selected(config, out.plan.session_id) && !out.degraded {
-            match scheme::build_scheme(&out.plan.scheme, &ctx.handle.video, ctx.vmaf) {
-                Ok(mut local) => {
-                    let sim = Simulator::new(ctx.player);
-                    let replay = sim.run_controlled(
-                        local.as_mut(),
-                        &ctx.handle.manifest,
-                        &ctx.trace,
-                        &ctx.control,
-                    );
-                    out.parity = Some(replay == result);
-                }
-                Err(e) => out.error = Some(e),
-            }
-        }
-        out.result = Some(result);
-    }
-
-    (outcomes, fatal, stats)
+    drive.check_parity(&mut ctxs);
+    (drive.outcomes, fatal, drive.conn.stats)
 }
 
 /// Run the fleet against the server at `addr`. Latency and wall time come
@@ -1570,13 +1422,8 @@ pub fn run_recorded(
             let client_stats = &client_stats;
             let recorder = recorder.clone();
             scope.spawn(move || {
-                let (outcomes, err, stats) = if config.pipeline > 1 {
-                    drive_connection_pipeline(
-                        addr, &my_plans, config, provider, now, shared, recorder,
-                    )
-                } else {
-                    drive_connection(addr, t, &my_plans, config, provider, now, shared, recorder)
-                };
+                let (outcomes, err, stats) =
+                    drive_connection(addr, t, &my_plans, config, provider, now, shared, recorder);
                 let mut slots = lock(collected);
                 for out in outcomes {
                     let idx = (out.plan.session_id - 1) as usize;

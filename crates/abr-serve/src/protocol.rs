@@ -13,6 +13,10 @@
 //! prefixes, unknown frame types, and trailing garbage are all distinct,
 //! and nothing panics (see the fuzz-ish round-trip tests in
 //! `tests/protocol.rs`).
+//!
+//! [`read_frame`] is the blocking reader the client side uses. The server
+//! never blocks on a peer: its reactor decodes frames incrementally out of
+//! nonblocking read buffers, with the same length-prefix checks.
 
 use abr_sim::{DecisionRequest, DecisionResponse};
 use std::fmt;
@@ -274,9 +278,6 @@ pub enum WireError {
         /// Body length (type byte + payload) the frame would have needed.
         len: usize,
     },
-    /// A read blew its idle budget: the peer delivered no bytes for the
-    /// whole configured deadline (see [`read_frame_budgeted`]).
-    TimedOut,
     /// Frame-type byte outside the protocol.
     UnknownFrameType(u8),
     /// Handshake version this build does not speak.
@@ -306,7 +307,6 @@ impl fmt::Display for WireError {
                     "frame body {len} bytes exceeds MAX_FRAME_LEN {MAX_FRAME_LEN}"
                 )
             }
-            WireError::TimedOut => write!(f, "read deadline exceeded (peer stalled)"),
             WireError::UnknownFrameType(ty) => write!(f, "unknown frame type 0x{ty:02X}"),
             WireError::UnknownVersion(v) => {
                 write!(
@@ -770,48 +770,10 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
     Ok(frame)
 }
 
-/// An idle budget measured in poll slots. One slot is consumed every time
-/// the underlying stream reports a *timed-out* read (`WouldBlock` /
-/// `TimedOut` — what a socket with `set_read_timeout` returns when no data
-/// arrives within the poll interval); any byte of progress refills the
-/// budget. The budget therefore bounds the longest *silent gap* the peer
-/// is allowed, without this crate ever reading a wall clock — the kernel's
-/// socket timeout is the only source of elapsed time.
-struct IdleBudget {
-    full: u64,
-    left: u64,
-}
-
-impl IdleBudget {
-    fn new(slots: u64) -> IdleBudget {
-        let full = slots.max(1);
-        IdleBudget { full, left: full }
-    }
-
-    fn on_progress(&mut self) {
-        self.left = self.full;
-    }
-
-    fn on_poll_timeout(&mut self) -> Result<(), WireError> {
-        self.left = self.left.saturating_sub(1);
-        if self.left == 0 {
-            Err(WireError::TimedOut)
-        } else {
-            Ok(())
-        }
-    }
-}
-
-/// Fill `buf` completely, spending the idle budget on poll timeouts.
-/// `at_boundary` selects the EOF flavor: a clean hangup before the first
-/// byte of a frame is [`WireError::Closed`], anywhere else it is
-/// [`WireError::Truncated`].
-fn read_full<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    budget: &mut IdleBudget,
-    at_boundary: bool,
-) -> Result<(), WireError> {
+/// Fill `buf` completely. `at_boundary` selects the EOF flavor: a clean
+/// hangup before the first byte of a frame is [`WireError::Closed`],
+/// anywhere else it is [`WireError::Truncated`].
+fn read_full<R: Read>(r: &mut R, buf: &mut [u8], at_boundary: bool) -> Result<(), WireError> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
@@ -822,78 +784,30 @@ fn read_full<R: Read>(
                     WireError::Truncated
                 })
             }
-            Ok(n) => {
-                filled += n;
-                budget.on_progress();
-            }
+            Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                budget.on_poll_timeout()?;
-            }
             Err(e) => return Err(WireError::from(e)),
         }
     }
     Ok(())
 }
 
-/// Read one frame from `r`, enforcing [`MAX_FRAME_LEN`]. A clean EOF at a
-/// frame boundary is [`WireError::Closed`]; EOF anywhere inside a frame is
-/// [`WireError::Truncated`]. Blocks indefinitely on a silent peer — the
-/// server side uses [`read_frame_budgeted`] instead.
+/// Read one frame from `r`, blocking until it has fully arrived, and
+/// enforce [`MAX_FRAME_LEN`]. A clean EOF at a frame boundary is
+/// [`WireError::Closed`]; EOF anywhere inside a frame is
+/// [`WireError::Truncated`]. This is the client-side reader: the server
+/// decodes incrementally out of its nonblocking read buffers (see
+/// [`crate::reactor`]) and never blocks on a peer.
 // abr-lint: hot-path
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
-    read_frame_budgeted(r, u64::MAX)
-}
-
-/// Deadline-aware twin of [`read_frame`]: tolerate at most `idle_slots`
-/// consecutive timed-out polls (reads failing with `WouldBlock`/`TimedOut`)
-/// without a single byte of progress, then fail with
-/// [`WireError::TimedOut`]. Callers arm the stream with a poll-interval
-/// `set_read_timeout`; `idle_slots × poll interval` is the effective
-/// deadline. Bytes trickling in — a slow but live peer — keep refilling
-/// the budget, so only genuine stalls (mid-frame or between frames) trip
-/// it.
-// abr-lint: hot-path
-pub fn read_frame_budgeted<R: Read>(r: &mut R, idle_slots: u64) -> Result<Frame, WireError> {
-    read_frame_budgeted_traced(r, idle_slots).map(|(frame, _, _)| frame)
-}
-
-/// [`read_frame_budgeted`] plus the trace facts a recorder wants: the
-/// frame's full wire length (length prefix included) and its type byte.
-/// The replay event log records both for every frame in/out without
-/// re-encoding the frame (see [`crate::replay`]).
-// abr-lint: hot-path
-pub fn read_frame_budgeted_traced<R: Read>(
-    r: &mut R,
-    idle_slots: u64,
-) -> Result<(Frame, u32, u8), WireError> {
-    let mut body = Vec::with_capacity(64);
-    read_frame_budgeted_traced_into(r, idle_slots, &mut body)
-}
-
-/// [`read_frame_budgeted_traced`] with a caller-owned body buffer, so a
-/// connection loop reading many frames reuses one allocation instead of
-/// paying a bounded (`<= MAX_FRAME_LEN`) buffer per frame. The buffer is
-/// cleared and resized to the incoming frame's length; its capacity only
-/// grows, so steady-state reads of same-shaped frames are allocation-free.
-// abr-lint: hot-path
-pub fn read_frame_budgeted_traced_into<R: Read>(
-    r: &mut R,
-    idle_slots: u64,
-    body: &mut Vec<u8>,
-) -> Result<(Frame, u32, u8), WireError> {
-    let mut budget = IdleBudget::new(idle_slots);
     let mut prefix = [0u8; 4];
-    read_full(r, &mut prefix, &mut budget, true)?;
+    read_full(r, &mut prefix, true)?;
     let len = u32::from_le_bytes(prefix);
     if len == 0 || len > MAX_FRAME_LEN {
         return Err(WireError::Oversized { len });
     }
-    body.clear();
+    let mut body = Vec::with_capacity(64);
     body.resize(len as usize, 0);
-    read_full(r, body, &mut budget, false)?;
-    let ty = body[0];
-    Ok((decode_frame(body)?, 4 + len, ty))
+    read_full(r, &mut body, false)?;
+    decode_frame(&body)
 }

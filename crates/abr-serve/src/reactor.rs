@@ -1,19 +1,17 @@
-//! The poll-based non-blocking reactor backend (see
-//! [`Backend::Reactor`](crate::server::Backend::Reactor)).
+//! The poll-based non-blocking reactor: the server's connection core (see
+//! [`BoundServer::serve`](crate::server::BoundServer::serve)).
 //!
 //! `std`-only: there is no `epoll`/`kqueue` in the standard library, so
 //! readiness is discovered by **sweeping** — every serving thread owns a
 //! set of `set_nonblocking` connections and repeatedly pumps each one:
 //! flush whatever response bytes are still buffered, read whatever the
 //! kernel has, decode complete frames incrementally out of the read
-//! buffer, hand each to the backend-agnostic
-//! `Server::handle_frame` core (which appends encoded responses to the
-//! write buffer), then flush once. A wakeup that finds ten pipelined
-//! `Decide` frames answers all ten with **one** read and **one** write
-//! syscall — that batching, not parallelism, is where the throughput over
-//! the thread-per-connection backend comes from, and it is why one reactor
-//! thread holds 100k+ sessions where the threaded pool needed a thread per
-//! held connection.
+//! buffer, hand each to the `Server::handle_frame` core (which appends
+//! encoded responses to the write buffer), then flush once. A wakeup that
+//! finds ten pipelined `Decide` frames answers all ten with **one** read
+//! and **one** write syscall — that batching, not parallelism, is where
+//! the throughput comes from, and it is why one reactor thread holds 100k+
+//! sessions over any number of connections.
 //!
 //! When a full sweep makes no progress the thread yields a few times
 //! (another runnable thread — usually the client that owes us bytes — gets
@@ -22,9 +20,8 @@
 //! clock): each doze charges one *poll tick* to every connection that made
 //! no progress, and a connection idle past
 //! `read_deadline_ms / poll_ms` ticks — or unable to flush for
-//! `write_deadline_ms / poll_ms` ticks — is **reaped** exactly like the
-//! threaded backend's budget reaper: counted, sent a best-effort
-//! [`Frame::Error`] timeout notice, dropped. Busy sweeps never charge
+//! `write_deadline_ms / poll_ms` ticks — is **reaped**: counted, sent a
+//! best-effort [`Frame::Error`] timeout notice, dropped. Busy sweeps never charge
 //! ticks: a server at full throughput is by definition making progress,
 //! and its deadline clock only starts once it goes idle.
 //!
@@ -150,9 +147,8 @@ impl Conn {
     }
 
     /// Read whatever the kernel has buffered. `Err(e)` is a transport
-    /// error to be reported like a wire error (mirroring the threaded
-    /// backend's catch-all); EOF sets `saw_eof` instead of erroring so
-    /// already-buffered frames still run.
+    /// error to be reported like a wire error; EOF sets `saw_eof` instead
+    /// of erroring so already-buffered frames still run.
     // abr-lint: hot-path
     fn fill(&mut self, scratch: &mut [u8], progress: &mut bool) -> Result<(), WireError> {
         loop {
@@ -179,8 +175,8 @@ impl Conn {
 
     /// Decode the next complete frame at the cursor, if a full one has
     /// arrived. Validates the length prefix exactly like the blocking
-    /// reader ([`crate::protocol::read_frame_budgeted_traced`]), so both
-    /// backends reject the same garbage with the same error text.
+    /// client reader ([`crate::protocol::read_frame`]), so both ends
+    /// reject the same garbage with the same error text.
     fn try_decode(&mut self) -> Result<Option<(Frame, u32, u8)>, WireError> {
         let avail = &self.rbuf[self.rpos..];
         if avail.len() < 4 {
@@ -284,8 +280,7 @@ impl Conn {
     }
 
     /// A wire-level failure (bad length prefix, undecodable body, read
-    /// error): counted, answered with a typed error, connection drains —
-    /// the same treatment the threaded backend's catch-all gives it.
+    /// error): counted, answered with a typed error, connection drains.
     fn wire_error(&mut self, server: &Server, e: &WireError) {
         server
             .counters
@@ -369,8 +364,8 @@ impl Conn {
             return false;
         }
         if self.idle_ticks >= read_slots {
-            // Same reap protocol as the threaded backend: count it, queue
-            // a best-effort timeout notice, drain, drop.
+            // Reap: count it, queue a best-effort timeout notice, drain,
+            // drop.
             server
                 .counters
                 .connections_reaped
@@ -435,8 +430,9 @@ fn reactor_thread(server: &Server, listener: &TcpListener, conn_seq: &AtomicU64)
                     Ok((stream, _)) => {
                         progress = true;
                         // Ids minted at accept from a shared sequence:
-                        // serial workloads see the same ids whichever
-                        // backend runs, keeping replay logs comparable.
+                        // a serial workload sees the same ids however many
+                        // reactor threads run, keeping replay logs
+                        // comparable.
                         let id = conn_seq.fetch_add(1, Ordering::Relaxed) + 1;
                         server.counters.connections.fetch_add(1, Ordering::Relaxed);
                         let note = |r: io::Result<()>| {

@@ -1,45 +1,31 @@
-//! The TCP front end: service core plus two interchangeable backends.
+//! The TCP front end: the service core and the reactor that serves it.
 //!
 //! `std`-only, no runtime, no detached threads. The [`Server`] owns the
-//! session store, the counters, and a **backend-agnostic frame core**:
+//! session store, the counters, and the **frame core**:
 //! `Server::handle_frame` consumes one decoded [`Frame`] and appends the
-//! encoded response(s) to an out-buffer — it performs **no socket I/O**
-//! and holds no lock across any, so both backends share one behavior and
-//! the replay log they produce is byte-identical for the same workload.
+//! encoded response(s) to an out-buffer. It performs **no socket I/O** and
+//! holds no lock across any; [`BoundServer::serve`] runs the poll-based
+//! non-blocking reactor in [`crate::reactor`] around it. Each reactor
+//! thread multiplexes many `set_nonblocking` connections with
+//! per-connection read/write buffers, incremental frame decode,
+//! write-interest-driven flushing and doze-tick deadline accounting. One
+//! wakeup batches every decision that is ready before flushing responses.
 //!
-//! Two backends implement [`BoundServer::serve`] (selected by
-//! [`ServerConfig::backend`] / [`BACKEND_ENV`]):
-//!
-//! * [`Backend::Reactor`] (default) — the poll-based non-blocking reactor
-//!   in [`crate::reactor`]: each reactor thread multiplexes many
-//!   connections over `set_nonblocking` sockets with per-connection
-//!   read/write buffers, incremental frame decode, write-interest-driven
-//!   flushing, and doze-tick deadline accounting replacing the per-thread
-//!   reaper. One wakeup batches every decision that is ready before
-//!   flushing responses.
-//! * [`Backend::Threaded`] — the legacy thread-per-connection worker pool:
-//!   one acceptor plus a fixed pool inside [`std::thread::scope`], a
-//!   **bounded** accept queue for backpressure. **Deprecated**: kept for
-//!   one release as a flag-selectable fallback while the reactor soaks,
-//!   then removed.
-//!
-//! Shared behavior, whichever backend runs: handshake first (`Hello` →
-//! `HelloOk`, version-checked), then frames. Application errors (unknown
-//! video, duplicate session, …) answer with a typed [`Frame::Error`] and
-//! keep the connection; wire-level decode errors answer with `Error` and
-//! drop it. A dropped connection hands every session it opened back to the
-//! store ([`SessionStore::drop_connection`]) — orphaned for a grace window
-//! so a reconnecting client can [`Frame::ResumeSession`] them, or reaped
+//! Connection protocol: handshake first (`Hello` → `HelloOk`,
+//! version-checked), then frames. Application errors (unknown video,
+//! duplicate session, …) answer with a typed [`Frame::Error`] and keep the
+//! connection; wire-level decode errors answer with `Error` and drop it. A
+//! dropped connection hands every session it opened back to the store
+//! ([`SessionStore::drop_connection`]) — orphaned for a grace window so a
+//! reconnecting client can [`Frame::ResumeSession`] them, or reaped
 //! outright when orphaning is disabled.
 //!
 //! **No thread blocks indefinitely on a peer.** Every connection gets a
 //! read deadline and a write deadline ([`ServerConfig::read_deadline_ms`],
 //! [`ServerConfig::write_deadline_ms`], env-tunable), quantized to
-//! [`ServerConfig::poll_ms`]: the threaded backend counts consecutive
-//! timed-out kernel polls ([`read_frame_budgeted_traced_into`]), the reactor
-//! counts idle doze ticks — neither reads a wall clock (lint R1), the
-//! kernel's timer/sleep is the only time source. A client silent past the
-//! deadline is **reaped**: counted in
+//! [`ServerConfig::poll_ms`]: the reactor counts idle doze ticks and never
+//! reads a wall clock (lint R1) — the kernel's sleep is the only time
+//! source. A client silent past the deadline is **reaped**: counted in
 //! [`StatsSnapshot::connections_reaped`], sent a best-effort
 //! [`ErrorCode::Timeout`], and dropped.
 //!
@@ -48,29 +34,18 @@
 //! every thread is joined before `serve` returns. Deterministic teardown,
 //! clean enough to assert on in tests.
 
-use crate::lock;
-use crate::protocol::{
-    encode_frame_into, read_frame_budgeted_traced_into, ErrorCode, Frame, StatsSnapshot, WireError,
-    PROTOCOL_VERSION,
-};
+use crate::protocol::{encode_frame_into, ErrorCode, Frame, StatsSnapshot, WireError};
 use crate::replay::{Event, Recorder};
 use crate::store::{SessionStore, StoreConfig, VideoProvider};
-use std::collections::VecDeque;
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
-use std::time::Duration;
+use std::sync::Arc;
 
-/// Environment variable overriding the worker-pool size.
+/// Environment variable overriding the reactor thread count.
 pub const THREADS_ENV: &str = "ABR_SERVE_THREADS";
 
-/// Environment variable selecting the serving backend (`reactor` or
-/// `threaded`).
-pub const BACKEND_ENV: &str = "ABR_SERVE_BACKEND";
-
-/// Default worker-pool size when [`THREADS_ENV`] is unset.
+/// Default reactor thread count when [`THREADS_ENV`] is unset.
 pub const DEFAULT_THREADS: usize = 8;
 
 /// Environment variable overriding the per-connection read deadline (ms).
@@ -100,7 +75,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Worker-pool size: `ABR_SERVE_THREADS` if set and parseable, else 8,
+/// Reactor thread count: `ABR_SERVE_THREADS` if set and parseable, else 8,
 /// floored at 1.
 pub fn threads_from_env() -> usize {
     std::env::var(THREADS_ENV)
@@ -128,47 +103,31 @@ pub fn poll_ms_from_env() -> u64 {
     env_u64(POLL_ENV, DEFAULT_POLL_MS).max(1)
 }
 
-/// Which connection-handling core [`BoundServer::serve`] runs. Both
-/// backends share `Server::handle_frame`, so their observable behavior —
-/// wire traffic, counters, replay events — is identical for the same
-/// workload; they differ only in how sockets are multiplexed.
+/// The connection-handling core. The reactor is the only one; the enum
+/// and [`ServerConfig::backend`] remain because the benchmark crate spells
+/// out a full [`ServerConfig`], and they go with its next revision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The poll-based non-blocking reactor (default): a few threads each
+    /// The poll-based non-blocking reactor: a few threads each
     /// multiplexing many nonblocking connections, batching every decision
     /// ready in a wakeup before flushing. See [`crate::reactor`].
     Reactor,
-    /// The legacy thread-per-connection worker pool. **Deprecated** — kept
-    /// for one release as a fallback while the reactor soaks, then
-    /// removed. Needs one worker thread per concurrently-held connection.
-    Threaded,
-}
-
-/// Backend: [`BACKEND_ENV`] if set to `threaded`, else
-/// [`Backend::Reactor`].
-pub fn backend_from_env() -> Backend {
-    match std::env::var(BACKEND_ENV).ok().as_deref() {
-        Some("threaded") => Backend::Threaded,
-        _ => Backend::Reactor,
-    }
 }
 
 /// Front-end sizing knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Connection-handling core; see [`Backend`].
+    /// Inert: the reactor is the only core (see [`Backend`]).
     pub backend: Backend,
-    /// Serving threads. Reactor: each thread multiplexes any number of
-    /// connections, so 1–2 threads carry whole fleets. Threaded: each
-    /// worker owns one connection at a time, so a fleet of
-    /// concurrently-held client connections needs at least that many
-    /// workers — see the loadgen hold-mode docs.
+    /// Reactor threads. Each thread multiplexes any number of
+    /// connections, so 1–2 threads carry whole fleets.
     pub threads: usize,
-    /// Accepted-connection queue bound; the acceptor blocks when full.
+    /// Inert: the reactor accepts without a queue. Kept only so existing
+    /// struct literals still build (see [`Backend`]).
     pub queue_depth: usize,
     /// Per-connection read deadline in milliseconds: a connection that
     /// delivers **no bytes** for this long is reaped. `0` disables the
-    /// deadline (reads may block forever — test use only). The deadline
+    /// deadline (a silent peer is held forever — test use only). The deadline
     /// bounds the longest silent gap, not total frame time: a peer that
     /// keeps trickling bytes stays alive.
     pub read_deadline_ms: u64,
@@ -186,7 +145,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            backend: backend_from_env(),
+            backend: Backend::Reactor,
             threads: threads_from_env(),
             queue_depth: 64,
             read_deadline_ms: read_deadline_from_env(),
@@ -194,78 +153,6 @@ impl Default for ServerConfig {
             poll_ms: poll_ms_from_env(),
             store: StoreConfig::default(),
         }
-    }
-}
-
-/// Bounded MPMC queue of accepted connections: `Mutex<VecDeque>` plus two
-/// condvars. `push` blocks while full (backpressure), `pop` blocks while
-/// empty; `close` wakes everyone for shutdown.
-struct Bounded<T> {
-    state: Mutex<BoundedState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-struct BoundedState<T> {
-    queue: VecDeque<T>,
-    cap: usize,
-    closed: bool,
-}
-
-impl<T> Bounded<T> {
-    fn new(cap: usize) -> Bounded<T> {
-        Bounded {
-            state: Mutex::new(BoundedState {
-                queue: VecDeque::new(),
-                cap: cap.max(1),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Blocks while the queue is full; returns `false` once closed.
-    fn push(&self, item: T) -> bool {
-        let mut state = lock(&self.state);
-        loop {
-            if state.closed {
-                return false;
-            }
-            if state.queue.len() < state.cap {
-                state.queue.push_back(item);
-                self.not_empty.notify_one();
-                return true;
-            }
-            state = self
-                .not_full
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    /// Blocks while empty; `None` once closed **and** drained.
-    fn pop(&self) -> Option<T> {
-        let mut state = lock(&self.state);
-        loop {
-            if let Some(item) = state.queue.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    fn close(&self) {
-        lock(&self.state).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
@@ -289,7 +176,7 @@ pub(crate) struct Counters {
 }
 
 /// The service: session store + counters + shutdown latch. Shared by every
-/// serving thread of either backend; all methods are `&self`.
+/// reactor thread; all methods are `&self`.
 pub struct Server {
     pub(crate) config: ServerConfig,
     pub(crate) store: SessionStore,
@@ -376,11 +263,11 @@ impl Server {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Encode `frame` and append it to `out` — the backend flushes `out`
+    /// Encode `frame` and append it to `out` — the reactor flushes `out`
     /// to the socket on its own schedule, so no lock anywhere up the stack
     /// is ever held across socket I/O. Counters and the replay `FrameOut`
-    /// event are taken at **encode** time, identically in both backends,
-    /// which is what keeps their logs byte-for-byte comparable.
+    /// event are taken at **encode** time, not at flush time, so the log
+    /// does not depend on how responses are batched onto the wire.
     pub(crate) fn send(
         &self,
         conn: u64,
@@ -402,15 +289,6 @@ impl Server {
         Ok(())
     }
 
-    /// [`Server::send`] followed by an immediate unbuffered write: the
-    /// threaded backend's per-frame flush.
-    fn send_now(&self, conn: u64, stream: &mut TcpStream, frame: &Frame) -> Result<(), WireError> {
-        let mut out = Vec::with_capacity(64);
-        self.send(conn, &mut out, frame)?;
-        stream.write_all(&out)?;
-        Ok(())
-    }
-
     pub(crate) fn note_frame_in(&self, conn: u64, wire_len: u32, frame_type: u8) {
         self.counters.frames_in.fetch_add(1, Ordering::Relaxed);
         if let Some(recorder) = &self.recorder {
@@ -425,7 +303,7 @@ impl Server {
     /// Handle one post-handshake frame, appending every response to `out`
     /// (see [`Server::send`]). Returns `Ok(false)` when the connection
     /// should close (a `Shutdown` was honored). Pure state + buffer work:
-    /// both backends drive their sockets around this one function.
+    /// the reactor drives its sockets around this one function.
     pub(crate) fn handle_frame(
         &self,
         conn: u64,
@@ -557,19 +435,6 @@ impl Server {
         Ok(true)
     }
 
-    /// Whether a send failed because the peer stopped draining within the
-    /// write deadline (as opposed to hanging up): those connections count
-    /// as reaped, same as read-deadline victims. Threaded-backend only —
-    /// the reactor's sockets are nonblocking, where `WouldBlock` is
-    /// ordinary backpressure, not a deadline.
-    fn is_deadline_error(e: &WireError) -> bool {
-        matches!(
-            e,
-            WireError::TimedOut
-                | WireError::Io(io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-        )
-    }
-
     /// The text of the best-effort courtesy frame a reaped connection is
     /// sent before it is dropped.
     pub(crate) fn reap_frame() -> Frame {
@@ -579,168 +444,8 @@ impl Server {
         }
     }
 
-    fn reap(&self, conn: u64, stream: &mut TcpStream) {
-        self.counters
-            .connections_reaped
-            .fetch_add(1, Ordering::Relaxed);
-        // Best-effort: the peer that just blew its deadline may well not
-        // read this either.
-        let _ = self.send_now(conn, stream, &Server::reap_frame());
-    }
-
-    fn handle_connection(&self, conn: u64, stream: TcpStream) {
-        self.counters.connections.fetch_add(1, Ordering::Relaxed);
-        let note_sockopt = |r: io::Result<()>| {
-            if r.is_err() {
-                self.counters.sockopt_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        note_sockopt(stream.set_nodelay(true));
-        // Arm the kernel poll timer the read budget counts against, and
-        // the write deadline. Timeouts apply to the cloned writer half too
-        // (dup shares the open file description).
-        let poll = self.config.poll_ms.max(1);
-        let read_slots = if self.config.read_deadline_ms == 0 {
-            u64::MAX
-        } else {
-            self.config.read_deadline_ms.div_ceil(poll).max(1)
-        };
-        note_sockopt(stream.set_read_timeout(
-            (self.config.read_deadline_ms > 0).then(|| Duration::from_millis(poll)),
-        ));
-        note_sockopt(
-            stream.set_write_timeout(
-                (self.config.write_deadline_ms > 0)
-                    .then(|| Duration::from_millis(self.config.write_deadline_ms)),
-            ),
-        );
-        let mut writer = match stream.try_clone() {
-            Ok(clone) => clone,
-            Err(_) => return,
-        };
-        let mut reader = BufReader::new(stream);
-        // One body buffer for the whole connection: every frame read reuses
-        // it, so steady-state decision traffic never touches the allocator.
-        // 256 covers every fixed-size frame in the grammar (the largest,
-        // StatsReply, is 137 bytes) — only string-bearing frames
-        // (OpenSession/Error) can grow it past the initial capacity.
-        let mut body = Vec::with_capacity(256);
-
-        // Handshake: the first frame must be a Hello with our version.
-        match read_frame_budgeted_traced_into(&mut reader, read_slots, &mut body) {
-            Ok((Frame::Hello { version }, wire_len, ty)) if version == PROTOCOL_VERSION => {
-                self.note_frame_in(conn, wire_len, ty);
-                if self
-                    .send_now(
-                        conn,
-                        &mut writer,
-                        &Frame::HelloOk {
-                            version: PROTOCOL_VERSION,
-                        },
-                    )
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Ok((Frame::Hello { version }, wire_len, ty)) => {
-                self.note_frame_in(conn, wire_len, ty);
-                let _ = self.send_now(
-                    conn,
-                    &mut writer,
-                    &Frame::Error {
-                        code: ErrorCode::UnknownVersion,
-                        message: WireError::UnknownVersion(version).to_string(),
-                    },
-                );
-                return;
-            }
-            Ok((_, wire_len, ty)) => {
-                self.note_frame_in(conn, wire_len, ty);
-                self.counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = self.send_now(
-                    conn,
-                    &mut writer,
-                    &Frame::Error {
-                        code: ErrorCode::BadFrame,
-                        message: "expected Hello as first frame".to_string(),
-                    },
-                );
-                return;
-            }
-            Err(WireError::TimedOut) => {
-                self.reap(conn, &mut writer);
-                return;
-            }
-            Err(WireError::Closed) => return,
-            Err(e) => {
-                self.counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = self.send_now(
-                    conn,
-                    &mut writer,
-                    &Frame::Error {
-                        code: ErrorCode::BadFrame,
-                        message: e.to_string(),
-                    },
-                );
-                return;
-            }
-        }
-
-        let mut out = Vec::with_capacity(256);
-        loop {
-            match read_frame_budgeted_traced_into(&mut reader, read_slots, &mut body) {
-                Ok((frame, wire_len, ty)) => {
-                    self.note_frame_in(conn, wire_len, ty);
-                    out.clear();
-                    let handled = self.handle_frame(conn, frame, &mut out).and_then(|keep| {
-                        writer.write_all(&out)?;
-                        Ok(keep)
-                    });
-                    match handled {
-                        Ok(true) => {}
-                        Ok(false) => break,
-                        Err(e) => {
-                            if Server::is_deadline_error(&e) {
-                                self.counters
-                                    .connections_reaped
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            break;
-                        }
-                    }
-                }
-                Err(WireError::TimedOut) => {
-                    self.reap(conn, &mut writer);
-                    break;
-                }
-                Err(WireError::Closed) => break,
-                Err(e) => {
-                    self.counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    let _ = self.send_now(
-                        conn,
-                        &mut writer,
-                        &Frame::Error {
-                            code: ErrorCode::BadFrame,
-                            message: e.to_string(),
-                        },
-                    );
-                    break;
-                }
-            }
-        }
-
-        self.drop_connection(conn);
-    }
-
     /// Hand connection `conn`'s sessions back to the store and fold the
-    /// outcome into the counters. Both backends call this exactly once per
+    /// outcome into the counters. The reactor calls this exactly once per
     /// dead connection.
     pub(crate) fn drop_connection(&self, conn: u64) {
         let dropped = self.store.drop_connection(conn);
@@ -776,67 +481,10 @@ impl BoundServer {
         Arc::clone(&self.server)
     }
 
-    /// Run the configured backend until a `Shutdown` frame arrives, then
-    /// drain and return the final counter snapshot. Blocks the calling
-    /// thread; every serving thread is joined before returning.
+    /// Run the reactor until a `Shutdown` frame arrives, then drain and
+    /// return the final counter snapshot. Blocks the calling thread; every
+    /// serving thread is joined before returning.
     pub fn serve(self) -> StatsSnapshot {
-        match self.server.config.backend {
-            Backend::Reactor => crate::reactor::serve(self.server, self.listener),
-            Backend::Threaded => self.serve_threaded(),
-        }
-    }
-
-    /// The legacy thread-per-connection accept loop (see
-    /// [`Backend::Threaded`]).
-    fn serve_threaded(self) -> StatsSnapshot {
-        let BoundServer {
-            server,
-            listener,
-            addr,
-        } = self;
-        let queue: Bounded<TcpStream> = Bounded::new(server.config.queue_depth);
-        let conn_seq = AtomicU64::new(0);
-        thread::scope(|scope| {
-            for _ in 0..server.config.threads.max(1) {
-                scope.spawn(|| {
-                    while let Some(stream) = queue.pop() {
-                        let conn = conn_seq.fetch_add(1, Ordering::Relaxed) + 1;
-                        server.handle_connection(conn, stream);
-                        // The connection that carried Shutdown latched the
-                        // flag; the acceptor is likely parked in accept(),
-                        // so dial it awake.
-                        if server.shutdown.load(Ordering::SeqCst) {
-                            wake_acceptor(addr);
-                        }
-                    }
-                });
-            }
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // The Shutdown handler dials a wake connection to
-                        // unblock this accept; drop it and stop.
-                        if server.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        if !queue.push(stream) {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
-                }
-            }
-            queue.close();
-        });
-        server.stats()
-    }
-}
-
-/// Wake a server parked in `accept` after its shutdown latch is set.
-/// Best-effort: the listener may already be gone.
-fn wake_acceptor(addr: SocketAddr) {
-    if let Ok(mut stream) = TcpStream::connect(addr) {
-        let _ = stream.flush();
+        crate::reactor::serve(self.server, self.listener)
     }
 }

@@ -5,8 +5,8 @@
 //! The binary installs [`counted_alloc::CountingAlloc`] and asserts that
 //! steady-state decisions — after a per-session warm-up decision that is
 //! allowed to build scheme caches — perform **zero** allocations, both
-//! in-process (`SessionStore::decide`) and through a real socket on both
-//! server backends.
+//! in-process (`SessionStore::decide`) and through a real socket against
+//! the reactor server.
 #![cfg(feature = "counted-alloc")]
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
@@ -14,7 +14,7 @@ use abr_serve::protocol::{
     decode_frame, encode_frame_into, read_frame, write_frame, Frame, PROTOCOL_VERSION,
 };
 use abr_serve::store::{dataset_provider, SessionStore, StoreConfig};
-use abr_serve::{Backend, Server, ServerConfig};
+use abr_serve::{Server, ServerConfig};
 use abr_sim::DecisionRequest;
 use counted_alloc::AllocScope;
 use std::io::{Read, Write};
@@ -125,13 +125,12 @@ fn decide_roundtrip(
     }
 }
 
-fn socket_decisions_are_allocation_free(backend: Backend) {
+#[test]
+fn reactor_socket_decisions_are_allocation_free() {
     let _quiet = quiet();
     assert!(counted_alloc::counting_enabled());
     let config = ServerConfig {
-        backend,
         threads: 2,
-        queue_depth: 8,
         read_deadline_ms: 0,
         write_deadline_ms: 0,
         poll_ms: 1,
@@ -140,6 +139,7 @@ fn socket_decisions_are_allocation_free(backend: Backend) {
             idle_ticks: u64::MAX,
             ..StoreConfig::default()
         },
+        ..ServerConfig::default()
     };
     let bound = Server::bind("127.0.0.1:0", config, dataset_provider()).unwrap();
     let addr = bound.addr();
@@ -205,19 +205,9 @@ fn socket_decisions_are_allocation_free(backend: Backend) {
     assert_eq!(
         delta.allocs,
         0,
-        "{backend:?}: {} steady-state decisions allocated {} times ({} bytes) process-wide",
+        "{} steady-state decisions allocated {} times ({} bytes) process-wide",
         MEASURED * SCHEMES.len(),
         delta.allocs,
         delta.bytes
     );
-}
-
-#[test]
-fn reactor_socket_decisions_are_allocation_free() {
-    socket_decisions_are_allocation_free(Backend::Reactor);
-}
-
-#[test]
-fn threaded_socket_decisions_are_allocation_free() {
-    socket_decisions_are_allocation_free(Backend::Threaded);
 }

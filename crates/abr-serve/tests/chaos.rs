@@ -8,7 +8,7 @@
 use abr_serve::loadgen::{self, FaultConfig, LoadgenConfig};
 use abr_serve::protocol::{encode_frame, Frame, PROTOCOL_VERSION};
 use abr_serve::store::{dataset_provider, StoreConfig};
-use abr_serve::{Backend, Server, ServerConfig};
+use abr_serve::{Server, ServerConfig};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,7 +27,6 @@ fn tick_clock() -> impl Fn() -> f64 + Sync {
 fn chaos_server_config() -> ServerConfig {
     ServerConfig {
         threads: 4,
-        queue_depth: 16,
         read_deadline_ms: 5_000,
         write_deadline_ms: 5_000,
         poll_ms: 10,
@@ -114,13 +113,7 @@ fn fleet_under_faults_keeps_full_parity() {
 #[test]
 fn trickling_connection_does_not_stall_healthy_sessions() {
     let config = ServerConfig {
-        // Pinned to the reactor: this is precisely the scenario where the
-        // threaded core deadlocks (the trickler pins a worker and queued
-        // connections starve), so the env-var backend override must not
-        // apply here.
-        backend: Backend::Reactor,
         threads: 2,
-        queue_depth: 4,
         // Long deadline: the trickler must stay held (not reaped) for the
         // whole healthy run for this test to mean anything.
         read_deadline_ms: 120_000,
@@ -132,6 +125,7 @@ fn trickling_connection_does_not_stall_healthy_sessions() {
             orphan_grace_ticks: 1_000_000,
             ..StoreConfig::default()
         },
+        ..ServerConfig::default()
     };
     let bound = Server::bind("127.0.0.1:0", config, dataset_provider()).unwrap();
     let addr = bound.addr();

@@ -21,7 +21,6 @@ fn tick_clock() -> impl Fn() -> f64 + Sync {
 fn server_config(threads: usize) -> ServerConfig {
     ServerConfig {
         threads,
-        queue_depth: 16,
         store: StoreConfig {
             capacity: 4096,
             idle_ticks: u64::MAX,

@@ -18,10 +18,7 @@ fn tick_clock() -> impl Fn() -> f64 + Sync {
 
 fn server_config() -> ServerConfig {
     ServerConfig {
-        // Enough workers for the 8-connection hold even on the deprecated
-        // threaded backend (the reactor shares conns across any count).
         threads: 8,
-        queue_depth: 16,
         read_deadline_ms: 5_000,
         write_deadline_ms: 5_000,
         poll_ms: 10,

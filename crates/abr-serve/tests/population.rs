@@ -20,7 +20,6 @@ fn tick_clock() -> impl Fn() -> f64 + Sync {
 fn pop_server_config() -> ServerConfig {
     ServerConfig {
         threads: 4,
-        queue_depth: 16,
         read_deadline_ms: 5_000,
         write_deadline_ms: 5_000,
         poll_ms: 10,
@@ -139,5 +138,44 @@ fn population_fleet_is_deterministic_under_faults() {
             "population session {} diverged across identical runs",
             oa.plan.session_id
         );
+    }
+}
+
+/// Arrival semantics hold at any pipeline depth: each connection keeps at
+/// most `pipeline` viewers open — opened when they take a slot, closed as
+/// soon as they finish — and the session records match the serial drive
+/// byte for byte.
+#[test]
+fn pipelined_arrival_matches_serial_arrival() {
+    let mut runs = Vec::new();
+    for pipeline in [1, 4] {
+        let bound = Server::bind("127.0.0.1:0", pop_server_config(), dataset_provider()).unwrap();
+        let addr = bound.addr();
+        let server = thread::spawn(move || bound.serve());
+        let config = LoadgenConfig {
+            pipeline,
+            ..pop_loadgen_config(24, None)
+        };
+        let provider = dataset_provider();
+        let now = tick_clock();
+        let report = loadgen::run(addr, &config, &provider, &now).unwrap();
+        loadgen::shutdown_server(addr).unwrap();
+        let stats = server.join().unwrap();
+        assert_eq!(report.errors(), vec![], "pipeline {pipeline}: errors");
+        assert_eq!(report.parity_mismatches(), vec![], "pipeline {pipeline}");
+        assert_eq!(report.held_sessions, None, "arrival mode samples no hold");
+        assert_eq!(stats.sessions_closed, 24);
+        assert!(
+            stats.peak_sessions <= (config.connections * pipeline) as u64,
+            "pipeline {pipeline}: {} sessions open at once",
+            stats.peak_sessions
+        );
+        runs.push(report);
+    }
+    let (serial, pipelined) = (&runs[0], &runs[1]);
+    for (a, b) in serial.outcomes.iter().zip(&pipelined.outcomes) {
+        assert_eq!(a.plan, b.plan);
+        assert_eq!(a.result, b.result, "session {} diverged", a.plan.session_id);
+        assert_eq!(a.closed_decisions, b.closed_decisions);
     }
 }

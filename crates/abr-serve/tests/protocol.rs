@@ -5,8 +5,8 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use abr_serve::protocol::{
-    decode_frame, encode_frame, read_frame, read_frame_budgeted, write_frame, ErrorCode, Frame,
-    StatsSnapshot, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    decode_frame, encode_frame, read_frame, write_frame, ErrorCode, Frame, StatsSnapshot,
+    WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use abr_sim::{DecisionRequest, DecisionResponse};
 use std::io::Cursor;
@@ -338,12 +338,12 @@ fn oversized_bodies_are_rejected_at_encode_time() {
 }
 
 // ---------------------------------------------------------------------------
-// Partial-frame delivery: slow peers against the budgeted reader.
+// Partial-frame delivery: slow peers against the blocking reader.
 // ---------------------------------------------------------------------------
 
 /// A reader that trickles its bytes out in tiny chunks with a fixed number
-/// of poll timeouts (`WouldBlock`) between them — a slow client as seen
-/// through a socket armed with a kernel read timeout.
+/// of interrupted reads (`Interrupted`, a signal landing mid-`read`)
+/// between them — a slow peer as a blocking socket delivers it.
 struct Trickle {
     data: Vec<u8>,
     pos: usize,
@@ -368,7 +368,7 @@ impl std::io::Read for Trickle {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         if self.pending_stalls > 0 {
             self.pending_stalls -= 1;
-            return Err(std::io::Error::from(std::io::ErrorKind::WouldBlock));
+            return Err(std::io::Error::from(std::io::ErrorKind::Interrupted));
         }
         if self.pos >= self.data.len() {
             return Ok(0);
@@ -388,13 +388,12 @@ fn trickled_frame_with_stalls_decodes_exactly_one_frame() {
         request: sample_request(),
     };
     let wire = encode_frame(&frame).unwrap();
-    // One byte per read, three empty polls between bytes: dozens of
-    // partial deliveries, but byte progress keeps refilling the budget, so
-    // a budget of 4 idle slots suffices for the whole frame.
+    // One byte per read, three interrupted reads between bytes: dozens of
+    // partial deliveries reassemble into exactly one frame.
     let mut slow = Trickle::new(wire, 1, 3);
-    assert_eq!(read_frame_budgeted(&mut slow, 4).unwrap(), frame);
+    assert_eq!(read_frame(&mut slow).unwrap(), frame);
     // No spurious second frame, no leftover error: the stream now ends.
-    assert_eq!(read_frame_budgeted(&mut slow, 4), Err(WireError::Closed));
+    assert_eq!(read_frame(&mut slow), Err(WireError::Closed));
 }
 
 #[test]
@@ -407,12 +406,12 @@ fn mid_body_eof_is_truncation_not_a_hang() {
     // Cut the stream in the middle of the body (after the prefix).
     let cut = wire[..wire.len() / 2].to_vec();
     let mut slow = Trickle::new(cut, 1, 2);
-    assert_eq!(read_frame_budgeted(&mut slow, 8), Err(WireError::Truncated));
+    assert_eq!(read_frame(&mut slow), Err(WireError::Truncated));
 }
 
 #[test]
-fn a_silent_peer_exhausts_the_idle_budget() {
-    /// Delivers a fixed prefix, then times out on every poll forever.
+fn a_read_timeout_surfaces_as_an_io_error() {
+    /// Delivers a fixed prefix, then times out on every read.
     struct Stalled {
         head: Vec<u8>,
         pos: usize,
@@ -428,17 +427,19 @@ fn a_silent_peer_exhausts_the_idle_budget() {
             Err(std::io::Error::from(std::io::ErrorKind::TimedOut))
         }
     }
-    // Silent from the very first byte.
+    // The blocking reader retries only interrupted reads; a timeout armed
+    // on the socket is the caller's deadline and comes back as an error,
+    // between frames or mid-frame alike.
+    let timed_out = Err(WireError::Io(std::io::ErrorKind::TimedOut));
     let mut mute = Stalled {
         head: Vec::new(),
         pos: 0,
     };
-    assert_eq!(read_frame_budgeted(&mut mute, 5), Err(WireError::TimedOut));
-    // Silent after half a frame — the classic slow-loris shape.
+    assert_eq!(read_frame(&mut mute), timed_out);
     let wire = encode_frame(&Frame::StatsReq).unwrap();
     let mut loris = Stalled {
         head: wire[..wire.len() - 1].to_vec(),
         pos: 0,
     };
-    assert_eq!(read_frame_budgeted(&mut loris, 5), Err(WireError::TimedOut));
+    assert_eq!(read_frame(&mut loris), timed_out);
 }

@@ -20,7 +20,6 @@ fn tick_clock() -> impl Fn() -> f64 + Sync {
 fn chaos_server_config() -> ServerConfig {
     ServerConfig {
         threads: 4,
-        queue_depth: 16,
         read_deadline_ms: 5_000,
         write_deadline_ms: 5_000,
         poll_ms: 10,

@@ -30,7 +30,6 @@ fn spawn(config: ServerConfig) -> TestServer {
 fn small_config() -> ServerConfig {
     ServerConfig {
         threads: 4,
-        queue_depth: 8,
         store: StoreConfig {
             capacity: 16,
             idle_ticks: 1_000_000,

@@ -9,9 +9,11 @@
 //! `decisions_per_s`, `sessions_per_s` (higher is better) or
 //! `latency_p99_ms` (lower is better), wherever it appears in the tree.
 //! A field regressing by more than `--tolerance` percent (default 15)
-//! exits non-zero with a diagnostic per offending field. Fields present in
-//! only one document are reported and skipped, so adding metrics to a
-//! bench document never breaks the gate against an older baseline.
+//! exits non-zero with a diagnostic per offending field. A gated field the
+//! fresh document no longer has fails too, naming its path: dropping a
+//! metric is a baseline change, made by re-committing the baseline, never
+//! a silent pass. A field new in the fresh document passes with a note, so
+//! adding metrics never breaks the gate against an older baseline.
 //!
 //! `allocs_per_decision` and `bytes_per_decision` are gated **exactly**:
 //! any increase over the baseline fails, whatever the tolerance.
@@ -76,6 +78,67 @@ fn regression_pct(field: &str, baseline: f64, fresh: f64) -> f64 {
     }
 }
 
+/// The gate's verdict over a baseline and a fresh document.
+struct Verdict {
+    /// One report line per gated field: baseline fields in document order,
+    /// then fields new in the fresh document.
+    lines: Vec<String>,
+    /// Paths that regressed past the tolerance or an exact gate, or that
+    /// the fresh document dropped.
+    failures: Vec<String>,
+    /// Gated fields present in both documents.
+    compared: usize,
+}
+
+fn gate(baseline: &Value, fresh: &Value, tolerance: f64) -> Verdict {
+    let mut base_fields = Vec::new();
+    let mut fresh_fields = Vec::new();
+    collect_gated("", baseline, &mut base_fields);
+    collect_gated("", fresh, &mut fresh_fields);
+
+    let mut verdict = Verdict {
+        lines: Vec::new(),
+        failures: Vec::new(),
+        compared: 0,
+    };
+    for (path, field, base_value) in &base_fields {
+        let Some((_, _, fresh_value)) = fresh_fields.iter().find(|(p, _, _)| p == path) else {
+            verdict.lines.push(format!(
+                "bench_gate: {path} only in baseline — removed from the fresh document FAIL"
+            ));
+            verdict.failures.push(path.clone());
+            continue;
+        };
+        verdict.compared += 1;
+        let failed = if EXACT_LOWER.contains(&field.as_str()) {
+            let exceeded = *fresh_value > *base_value;
+            verdict.lines.push(format!(
+                "bench_gate: {path}: {base_value:.3} -> {fresh_value:.3} (exact gate: any increase fails) {}",
+                if exceeded { "FAIL" } else { "ok" }
+            ));
+            exceeded
+        } else {
+            let pct = regression_pct(field, *base_value, *fresh_value);
+            verdict.lines.push(format!(
+                "bench_gate: {path}: {base_value:.3} -> {fresh_value:.3} ({pct:+.1}% regression, tolerance {tolerance:.0}%) {}",
+                if pct > tolerance { "FAIL" } else { "ok" }
+            ));
+            pct > tolerance
+        };
+        if failed {
+            verdict.failures.push(path.clone());
+        }
+    }
+    for (path, _, _) in &fresh_fields {
+        if !base_fields.iter().any(|(p, _, _)| p == path) {
+            verdict.lines.push(format!(
+                "bench_gate: {path} only in fresh — new field, not gated yet"
+            ));
+        }
+    }
+    verdict
+}
+
 fn run() -> Result<(), String> {
     let mut paths: Vec<String> = Vec::new();
     let mut tolerance = 15.0f64;
@@ -105,59 +168,23 @@ fn run() -> Result<(), String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         parse_value(&text).map_err(|e| format!("cannot parse {path}: {e}"))
     };
-    let baseline = read(&paths[0])?;
-    let fresh = read(&paths[1])?;
-
-    let mut base_fields = Vec::new();
-    let mut fresh_fields = Vec::new();
-    collect_gated("", &baseline, &mut base_fields);
-    collect_gated("", &fresh, &mut fresh_fields);
-
-    let mut failures = Vec::new();
-    let mut compared = 0usize;
-    for (path, field, base_value) in &base_fields {
-        let Some((_, _, fresh_value)) = fresh_fields.iter().find(|(p, _, _)| p == path) else {
-            println!("bench_gate: {path} only in baseline — skipped");
-            continue;
-        };
-        compared += 1;
-        if EXACT_LOWER.contains(&field.as_str()) {
-            let exceeded = *fresh_value > *base_value;
-            let verdict = if exceeded { "FAIL" } else { "ok" };
-            println!(
-                "bench_gate: {path}: {base_value:.3} -> {fresh_value:.3} (exact gate: any increase fails) {verdict}"
-            );
-            if exceeded {
-                failures.push(path.clone());
-            }
-            continue;
-        }
-        let pct = regression_pct(field, *base_value, *fresh_value);
-        let verdict = if pct > tolerance { "FAIL" } else { "ok" };
-        println!(
-            "bench_gate: {path}: {base_value:.3} -> {fresh_value:.3} ({pct:+.1}% regression, tolerance {tolerance:.0}%) {verdict}"
-        );
-        if pct > tolerance {
-            failures.push(path.clone());
-        }
+    let verdict = gate(&read(&paths[0])?, &read(&paths[1])?, tolerance);
+    for line in &verdict.lines {
+        println!("{line}");
     }
-    for (path, _, _) in &fresh_fields {
-        if !base_fields.iter().any(|(p, _, _)| p == path) {
-            println!("bench_gate: {path} only in fresh — skipped");
-        }
-    }
-    if compared == 0 {
+    if verdict.compared == 0 {
         return Err("no gated perf fields found in both documents".into());
     }
-    if failures.is_empty() {
+    if verdict.failures.is_empty() {
         println!(
-            "bench_gate: {compared} field(s) within {tolerance:.0}% of the committed trajectory"
+            "bench_gate: {} field(s) within {tolerance:.0}% of the committed trajectory",
+            verdict.compared
         );
         Ok(())
     } else {
         Err(format!(
-            "perf regression (beyond {tolerance:.0}% or past an exact gate) in: {}",
-            failures.join(", ")
+            "perf regression (beyond {tolerance:.0}% or past an exact gate) or removed field in: {}",
+            verdict.failures.join(", ")
         ))
     }
 }
@@ -169,5 +196,63 @@ fn main() -> ExitCode {
             eprintln!("bench_gate: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn verdict(baseline: &str, fresh: &str, tolerance: f64) -> Verdict {
+        let parse = |text: &str| parse_value(text).expect("test JSON parses");
+        gate(&parse(baseline), &parse(fresh), tolerance)
+    }
+
+    #[test]
+    fn a_regression_past_the_tolerance_fails() {
+        let base = r#"{"decisions_per_s": 1000.0, "smoke": {"latency_p99_ms": 1.0}}"#;
+        let within = r#"{"decisions_per_s": 900.0, "smoke": {"latency_p99_ms": 1.1}}"#;
+        let v = verdict(base, within, 15.0);
+        assert_eq!(v.compared, 2);
+        assert!(v.failures.is_empty(), "{:?}", v.lines);
+        let past = r#"{"decisions_per_s": 800.0, "smoke": {"latency_p99_ms": 1.2}}"#;
+        let v = verdict(base, past, 15.0);
+        assert_eq!(v.failures, ["decisions_per_s", "smoke.latency_p99_ms"]);
+    }
+
+    #[test]
+    fn an_exact_gated_field_fails_on_any_increase() {
+        let base = r#"{"schemes": [{"allocs_per_decision": 0.0, "bytes_per_decision": 0.0}]}"#;
+        let fresh = r#"{"schemes": [{"allocs_per_decision": 0.0, "bytes_per_decision": 0.5}]}"#;
+        // A huge tolerance does not loosen an exact gate.
+        let v = verdict(base, fresh, 1_000.0);
+        assert_eq!(v.failures, ["schemes[0].bytes_per_decision"]);
+        assert!(verdict(base, base, 0.0).failures.is_empty());
+    }
+
+    #[test]
+    fn a_field_missing_from_the_fresh_document_fails() {
+        let base = r#"{"decisions_per_s": 1000.0, "old": {"allocs_per_decision": 0.0}}"#;
+        let fresh = r#"{"decisions_per_s": 1000.0}"#;
+        let v = verdict(base, fresh, 15.0);
+        assert_eq!(v.compared, 1);
+        assert_eq!(v.failures, ["old.allocs_per_decision"]);
+        assert!(v
+            .lines
+            .iter()
+            .any(|l| l.contains("old.allocs_per_decision only in baseline")));
+    }
+
+    #[test]
+    fn a_field_new_in_the_fresh_document_passes_with_a_note() {
+        let base = r#"{"decisions_per_s": 1000.0}"#;
+        let fresh = r#"{"decisions_per_s": 1000.0, "sessions_per_s": 5.0}"#;
+        let v = verdict(base, fresh, 15.0);
+        assert_eq!(v.compared, 1);
+        assert!(v.failures.is_empty());
+        assert!(v
+            .lines
+            .iter()
+            .any(|l| l.contains("sessions_per_s only in fresh")));
     }
 }

@@ -115,19 +115,44 @@ type TraceCache = Mutex<BTreeMap<(TraceSet, usize), Arc<Vec<Trace>>>>;
 
 static VIDEOS: OnceLock<VideoCache> = OnceLock::new();
 static TRACES: OnceLock<TraceCache> = OnceLock::new();
-static VIDEO_BUILDS: AtomicUsize = AtomicUsize::new(0);
-static TRACE_BUILDS: AtomicUsize = AtomicUsize::new(0);
+/// Cache insertions per key. Counted per key, not process-wide, so a test
+/// can check one key's exactly-once build while other tests in the same
+/// binary fill other entries concurrently.
+static VIDEO_BUILDS: Mutex<BTreeMap<String, usize>> = Mutex::new(BTreeMap::new());
+static TRACE_BUILDS: Mutex<BTreeMap<(TraceSet, usize), usize>> = Mutex::new(BTreeMap::new());
 
 /// How many videos have actually been synthesized (cache misses). Stable
 /// across repeated [`video`] calls for the same name — the exactly-once
 /// guarantee the cache tests assert.
 pub fn video_generations() -> usize {
-    VIDEO_BUILDS.load(Ordering::SeqCst)
+    VIDEO_BUILDS
+        .lock()
+        .expect("video build counts")
+        .values()
+        .sum()
+}
+
+/// How many times the video cached under `name` was synthesized: 0 before
+/// the first [`video`]/[`video_with`] call for it, 1 ever after.
+pub fn video_generations_of(name: &str) -> usize {
+    let counts = VIDEO_BUILDS.lock().expect("video build counts");
+    counts.get(name).copied().unwrap_or(0)
 }
 
 /// How many trace corpora have actually been generated (cache misses).
 pub fn trace_generations() -> usize {
-    TRACE_BUILDS.load(Ordering::SeqCst)
+    TRACE_BUILDS
+        .lock()
+        .expect("trace build counts")
+        .values()
+        .sum()
+}
+
+/// How many times the `(set, count)` corpus was generated: 0 before the
+/// first [`traces_n`] call for it, 1 ever after.
+pub fn trace_generations_of(set: TraceSet, count: usize) -> usize {
+    let counts = TRACE_BUILDS.lock().expect("trace build counts");
+    counts.get(&(set, count)).copied().unwrap_or(0)
 }
 
 fn build_named(name: &str) -> Video {
@@ -169,7 +194,11 @@ pub fn video_with(name: &str, build: impl FnOnce() -> Video) -> Arc<PreparedVide
     match guard.get(name) {
         Some(racer) => Arc::clone(racer),
         None => {
-            VIDEO_BUILDS.fetch_add(1, Ordering::SeqCst);
+            *VIDEO_BUILDS
+                .lock()
+                .expect("video build counts")
+                .entry(name.to_string())
+                .or_default() += 1;
             guard.insert(name.to_string(), Arc::clone(&prepared));
             prepared
         }
@@ -228,7 +257,11 @@ pub fn traces_n(set: TraceSet, count: usize) -> Arc<Vec<Trace>> {
     match guard.get(&(set, count)) {
         Some(racer) => Arc::clone(racer),
         None => {
-            TRACE_BUILDS.fetch_add(1, Ordering::SeqCst);
+            *TRACE_BUILDS
+                .lock()
+                .expect("trace build counts")
+                .entry((set, count))
+                .or_default() += 1;
             guard.insert((set, count), Arc::clone(&generated));
             generated
         }
@@ -456,28 +489,31 @@ mod tests {
 
     #[test]
     fn video_cache_returns_same_arc_and_counts_builds_once() {
-        let before = video_generations();
-        let a = video("ToS-ffmpeg-h264");
-        let after_first = video_generations();
-        let b = video("ToS-ffmpeg-h264");
+        let name = "ToS-ffmpeg-h264";
+        let before = video_generations_of(name);
+        let a = video(name);
+        let after_first = video_generations_of(name);
+        let b = video(name);
         assert!(Arc::ptr_eq(&a, &b), "same key must share one Arc");
         // The first call built at most once (another test may have warmed
         // the entry already); the second call must not build at all.
         assert!(after_first - before <= 1);
-        assert_eq!(video_generations(), after_first);
+        assert_eq!(after_first, 1, "a cached video was built exactly once");
+        assert_eq!(video_generations_of(name), after_first);
         assert_eq!(a.video.name(), "ToS-ffmpeg-h264");
         assert_eq!(a.manifest.n_chunks(), a.video.n_chunks());
     }
 
     #[test]
     fn trace_cache_returns_same_arc_and_counts_builds_once() {
-        let before = trace_generations();
+        let before = trace_generations_of(TraceSet::Lte, 5);
         let a = traces_n(TraceSet::Lte, 5);
-        let after_first = trace_generations();
+        let after_first = trace_generations_of(TraceSet::Lte, 5);
         let b = traces_n(TraceSet::Lte, 5);
         assert!(Arc::ptr_eq(&a, &b), "same key must share one Arc");
         assert!(after_first - before <= 1);
-        assert_eq!(trace_generations(), after_first);
+        assert_eq!(after_first, 1, "a cached corpus was generated exactly once");
+        assert_eq!(trace_generations_of(TraceSet::Lte, 5), after_first);
         assert_eq!(a.len(), 5);
     }
 

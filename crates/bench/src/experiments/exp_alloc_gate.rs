@@ -2,8 +2,8 @@
 //!
 //! Measures allocations and bytes per steady-state decision for the paper's
 //! three headline schemes (CAVA, BOLA, RBA) through the in-process
-//! [`SessionStore::decide`] path and through a real socket on both server
-//! backends, using the `counted-alloc` counting global allocator. The first
+//! [`SessionStore::decide`] path and through a real socket against the
+//! reactor server, using the `counted-alloc` counting global allocator. The first
 //! decision per session is warm-up (scheme caches, connection buffers reach
 //! steady-state capacity) and is excluded from the window.
 //!
@@ -36,18 +36,16 @@ pub struct PathAlloc {
     pub bytes_per_decision: f64,
 }
 
-/// Per-scheme allocation counts across the three measured paths.
+/// Per-scheme allocation counts across the two measured paths.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SchemeAlloc {
     /// Scheme name as accepted by the serving protocol ("cava", ...).
     pub scheme: String,
     /// `SessionStore::decide` called directly, thread-scoped counts.
     pub in_process: PathAlloc,
-    /// Decide round trips over TCP against the poll-based reactor backend,
+    /// Decide round trips over TCP against the poll-based reactor server,
     /// process-global counts (client and server threads both quiet).
     pub socket_reactor: PathAlloc,
-    /// Same round trips against the thread-per-connection backend.
-    pub socket_threaded: PathAlloc,
 }
 
 /// Everything `BENCH_alloc.json` records.
@@ -83,7 +81,7 @@ mod measure {
         decode_frame, encode_frame_into, read_frame, write_frame, Frame, PROTOCOL_VERSION,
     };
     use abr_serve::store::{dataset_provider, SessionStore, StoreConfig};
-    use abr_serve::{Backend, Server, ServerConfig};
+    use abr_serve::{Server, ServerConfig};
     use abr_sim::DecisionRequest;
     use counted_alloc::AllocScope;
     use std::io::{self, Read, Write};
@@ -187,19 +185,17 @@ mod measure {
         }
     }
 
-    /// Process-global counts per scheme for decide round trips over TCP
-    /// against one backend. One server, one connection, one session per
-    /// scheme; each scheme gets its own measurement window after all
-    /// sessions are warmed up.
-    fn measure_socket(backend: Backend) -> io::Result<Vec<PathAlloc>> {
+    /// Process-global counts per scheme for decide round trips over TCP.
+    /// One server, one connection, one session per scheme; each scheme gets
+    /// its own measurement window after all sessions are warmed up.
+    fn measure_socket() -> io::Result<Vec<PathAlloc>> {
         let config = ServerConfig {
-            backend,
             threads: 2,
-            queue_depth: 8,
             read_deadline_ms: 0,
             write_deadline_ms: 0,
             poll_ms: 1,
             store: quiet_store_config(),
+            ..ServerConfig::default()
         };
         let bound = Server::bind("127.0.0.1:0", config, dataset_provider())?;
         let addr = bound.addr();
@@ -293,8 +289,7 @@ mod measure {
         for scheme in SCHEMES {
             in_process.push(measure_in_process(scheme, n_chunks)?);
         }
-        let socket_reactor = measure_socket(Backend::Reactor)?;
-        let socket_threaded = measure_socket(Backend::Threaded)?;
+        let socket_reactor = measure_socket()?;
 
         let bench = AllocBench {
             warmup_decisions: WARMUP as u64,
@@ -302,29 +297,22 @@ mod measure {
                 .iter()
                 .zip(in_process)
                 .zip(socket_reactor)
-                .zip(socket_threaded)
-                .map(
-                    |(((scheme, in_process), socket_reactor), socket_threaded)| SchemeAlloc {
-                        scheme: (*scheme).to_string(),
-                        in_process,
-                        socket_reactor,
-                        socket_threaded,
-                    },
-                )
+                .map(|((scheme, in_process), socket_reactor)| SchemeAlloc {
+                    scheme: (*scheme).to_string(),
+                    in_process,
+                    socket_reactor,
+                })
                 .collect(),
         };
 
         println!(
-            "  {:<8} {:>14} {:>16} {:>16}",
-            "scheme", "in-process", "socket/reactor", "socket/threaded"
+            "  {:<8} {:>14} {:>16}",
+            "scheme", "in-process", "socket/reactor"
         );
         for s in &bench.schemes {
             println!(
-                "  {:<8} {:>8.2} allocs {:>9.2} allocs {:>9.2} allocs",
-                s.scheme,
-                s.in_process.allocs_per_decision,
-                s.socket_reactor.allocs_per_decision,
-                s.socket_threaded.allocs_per_decision
+                "  {:<8} {:>8.2} allocs {:>9.2} allocs",
+                s.scheme, s.in_process.allocs_per_decision, s.socket_reactor.allocs_per_decision
             );
         }
 
@@ -353,11 +341,6 @@ mod tests {
                 },
                 socket_reactor: PathAlloc {
                     decisions: 48,
-                    allocs_per_decision: 0.0,
-                    bytes_per_decision: 0.0,
-                },
-                socket_threaded: PathAlloc {
-                    decisions: 48,
                     allocs_per_decision: 0.25,
                     bytes_per_decision: 16.0,
                 },
@@ -367,7 +350,7 @@ mod tests {
         let back: AllocBench = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back.schemes.len(), 1);
         assert_eq!(back.schemes[0].scheme, "cava");
-        assert_eq!(back.schemes[0].socket_threaded.decisions, 48);
+        assert_eq!(back.schemes[0].socket_reactor.decisions, 48);
         assert!(json.contains("allocs_per_decision"));
     }
 }

@@ -149,7 +149,6 @@ pub fn run() -> io::Result<()> {
     let server_threads = threads_from_env().max(4);
     let server_config = ServerConfig {
         threads: server_threads,
-        queue_depth: 64,
         store: StoreConfig {
             capacity: SERVE_SESSIONS.max(StoreConfig::default().capacity),
             idle_ticks: u64::MAX,

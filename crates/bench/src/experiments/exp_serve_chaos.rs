@@ -124,7 +124,6 @@ pub fn run() -> io::Result<()> {
     let connections = threads.min(6);
     let server_config = ServerConfig {
         threads,
-        queue_depth: 64,
         // Deadlines armed for real: injected stalls (~20 ms) sit far below
         // the read deadline, so reaps only fire on genuinely wedged peers.
         read_deadline_ms: 3_000,

@@ -149,7 +149,6 @@ fn run_smoke(threads: usize) -> io::Result<SmokeBench> {
     let connections = threads.min(8);
     let server_config = ServerConfig {
         threads,
-        queue_depth: 64,
         store: StoreConfig {
             capacity: SMOKE_SESSIONS.max(StoreConfig::default().capacity),
             idle_ticks: u64::MAX,
@@ -344,7 +343,6 @@ fn run_scale(threads: usize, smoke: SmokeBench) -> io::Result<ServeBench> {
     let parity_every = (sessions as u64 / 64).max(1);
     let server_config = ServerConfig {
         threads,
-        queue_depth: 64,
         // Generous deadlines: a held connection legitimately idles while
         // its peers finish their open ramp.
         read_deadline_ms: 60_000,

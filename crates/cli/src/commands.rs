@@ -472,13 +472,12 @@ pub fn trace_stats(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `cava serve [--addr A] [--backend reactor|threaded] [--threads N]
-/// [--shards N] [--capacity N] [--queue N] [--read-deadline-ms MS]
-/// [--write-deadline-ms MS] [--poll-ms MS] [--port-file PATH]`
+/// `cava serve [--addr A] [--threads N] [--shards N] [--capacity N]
+/// [--read-deadline-ms MS] [--write-deadline-ms MS] [--poll-ms MS]
+/// [--port-file PATH] [--record PATH]`
 ///
-/// Blocks until a client sends a `Shutdown` frame. The backend defaults to
-/// the `ABR_SERVE_BACKEND` environment variable (then `reactor`; `threaded`
-/// selects the deprecated thread-per-connection pool). Thread count
+/// Blocks until a client sends a `Shutdown` frame. Each reactor thread
+/// multiplexes any number of connections. Thread count
 /// defaults to `ABR_SERVE_THREADS` (then 8); the deadlines default to
 /// `ABR_SERVE_READ_DEADLINE_MS` / `ABR_SERVE_WRITE_DEADLINE_MS` /
 /// `ABR_SERVE_POLL_MS` (then 120000 / 30000 / 20). A deadline of 0
@@ -487,11 +486,9 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     args.ensure_known_flags(&[
         "addr",
-        "backend",
         "threads",
         "shards",
         "capacity",
-        "queue",
         "read-deadline-ms",
         "write-deadline-ms",
         "poll-ms",
@@ -500,20 +497,9 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     ])?;
     args.expect_positionals(0, "serve [--addr A] [--threads N] [--capacity N]")?;
     let addr = args.flag("addr").unwrap_or("127.0.0.1:0");
-    let backend = match args.flag("backend") {
-        None => abr_serve::server::backend_from_env(),
-        Some("reactor") => abr_serve::Backend::Reactor,
-        Some("threaded") => abr_serve::Backend::Threaded,
-        Some(other) => {
-            return Err(format!(
-                "--backend must be reactor or threaded, got {other}"
-            ))
-        }
-    };
     let threads: usize = args.flag_parsed("threads", abr_serve::server::threads_from_env())?;
     let shards: usize = args.flag_parsed("shards", StoreConfig::default().shards)?;
     let capacity: usize = args.flag_parsed("capacity", StoreConfig::default().capacity)?;
-    let queue_depth: usize = args.flag_parsed("queue", 64)?;
     let read_deadline_ms: u64 = args.flag_parsed(
         "read-deadline-ms",
         abr_serve::server::read_deadline_from_env(),
@@ -532,16 +518,11 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     if capacity == 0 {
         return Err("--capacity must be at least 1".to_string());
     }
-    if queue_depth == 0 {
-        return Err("--queue must be at least 1".to_string());
-    }
     if poll_ms == 0 {
         return Err("--poll-ms must be at least 1".to_string());
     }
     let config = ServerConfig {
-        backend,
         threads,
-        queue_depth,
         read_deadline_ms,
         write_deadline_ms,
         poll_ms,
@@ -550,6 +531,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             shards,
             ..StoreConfig::default()
         },
+        ..ServerConfig::default()
     };
     // --record wins over the ABR_SERVE_RECORD env default; either names
     // the replay-log path, see docs/REPLAY.md.
@@ -573,12 +555,8 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let bound = Server::bind_recorded(addr, config, dataset_provider(), recorder.clone())
         .map_err(|e| format!("binding {addr}: {e}"))?;
     println!(
-        "serving on {} ({} backend, {} threads, session capacity {}, {} shards)",
+        "serving on {} ({} reactor threads, session capacity {}, {} shards)",
         bound.addr(),
-        match backend {
-            abr_serve::Backend::Reactor => "reactor",
-            abr_serve::Backend::Threaded => "threaded",
-        },
         threads,
         capacity,
         shards
@@ -637,10 +615,13 @@ fn csv_list(raw: &str) -> Vec<String> {
 /// session resume. Exits nonzero on any session error or parity mismatch —
 /// parity must hold even under faults.
 ///
-/// `--pipeline N` (default 1) batches N decisions per flush on each
-/// connection — the soak-scale drive. Results are byte-identical to the
-/// serial drive; faults require `--pipeline 1`. `--parity-every N` samples
-/// the in-process parity replay to every Nth session id.
+/// `--pipeline N` (default 1) keeps N sessions in flight on each
+/// connection, so each flush batches N decisions — the soak-scale drive.
+/// Results are byte-identical at every depth; at 1 each session runs to
+/// completion before the next, and faults require `--pipeline 1`. With
+/// `--hold true` the fleet opens every session before driving any and
+/// reports how many the server held. `--parity-every N` samples the
+/// in-process parity replay to every Nth session id.
 pub fn loadgen(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     args.ensure_known_flags(&[

@@ -44,12 +44,15 @@ COMMANDS:
         [--duration SECS] [--threads N] [--phone W] [--tv W]
         [--network W,W,W,W] [--live FRAC] [--video NAME] [--csv FILE]
     serve                            multi-session ABR decision service (TCP)
-        [--addr A] [--threads N] [--capacity N] [--queue N] [--port-file F]
+        [--addr A] [--threads N] [--shards N] [--capacity N] [--port-file F]
+        [--read-deadline-ms MS] [--write-deadline-ms MS] [--poll-ms MS]
         [--record FILE]
     loadgen <addr>                   drive a fleet of players at a server
         [--sessions N] [--connections C] [--seed S] [--videos csv]
         [--schemes csv] [--vmaf tv|phone] [--hold BOOL] [--parity BOOL]
-        [--stop-server BOOL] [--record FILE] [--population N]
+        [--parity-every N] [--pipeline N] [--faults BOOL]
+        [--fault-period N] [--fault-stall-ms MS] [--fault-seed S]
+        [--retries N] [--stop-server BOOL] [--record FILE] [--population N]
     replay <log>                     re-execute a recorded serving run
         [--seek TICK] [--diff OTHER]  (record with `serve --record FILE`;
                                       exits nonzero on any divergence)

@@ -262,7 +262,6 @@ fn serve_rejects_bad_flag_values() {
     for argv in [
         vec!["serve", "--threads", "0"],
         vec!["serve", "--capacity", "0"],
-        vec!["serve", "--queue", "0"],
         vec!["serve", "--threads", "four"],
         vec!["serve", "--poll-ms", "0"],
         vec!["serve", "--read-deadline-ms", "soon"],

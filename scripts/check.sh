@@ -42,6 +42,21 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo test runs every crate (same test binaries as --workspace)"
+# The root Cargo.toml sets default-members, so the bare tier-1 command
+# `cargo test` builds the same test binaries as `cargo test --workspace`.
+# A new crate left out of default-members would silently drop its tests
+# from tier-1; compare the two executable lists to catch that.
+BINS_DIR="$(mktemp -d)"
+cargo test --no-run 2>&1 | grep 'Executable' | sort > "$BINS_DIR/default"
+cargo test --workspace --no-run 2>&1 | grep 'Executable' | sort > "$BINS_DIR/workspace"
+if ! diff "$BINS_DIR/default" "$BINS_DIR/workspace"; then
+    echo "cargo test and cargo test --workspace build different test binaries" >&2
+    rm -rf "$BINS_DIR"
+    exit 1
+fi
+rm -rf "$BINS_DIR"
+
 echo "==> cargo doc -p abr-bench -p abr-serve (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p abr-bench -p abr-serve
 
@@ -62,19 +77,12 @@ cargo test -q -p abr-sim --features strict-invariants
 echo "==> cargo test -p cava-core --features strict-invariants"
 cargo test -q -p cava-core --features strict-invariants
 
-echo "==> abr-serve suite on the deprecated threaded backend"
-# Until the threaded core is removed (deprecation window: one release,
-# see CONTRIBUTING.md) the whole abr-serve suite must stay green on it.
-# Tests that exist to pin reactor-only behaviour set the backend
-# explicitly and ignore this override.
-ABR_SERVE_BACKEND=threaded cargo test -q -p abr-serve
-
 echo "==> allocation discipline (counted-alloc: allocator + hot-path tests)"
 # The decision hot path must stay allocation-free (see ARCHITECTURE.md
 # "Hot-path memory discipline"). The counted-alloc feature builds the
 # counting global allocator into these test binaries; they prove zero
 # steady-state allocations for SessionStore::decide, for decide round
-# trips over a real socket on both backends, and for the simulator's
+# trips over a real socket against the reactor, and for the simulator's
 # per-step path. The BENCH_alloc.json exact gate below holds the same
 # numbers against the committed baseline.
 cargo test -q -p counted-alloc
@@ -143,43 +151,6 @@ echo "==> record -> replay -> diff smoke (docs/REPLAY.md)"
 ./target/release/cava replay "$REPLAY_LOG"
 ./target/release/cava replay "$REPLAY_LOG" --seek 1000
 ./target/release/cava replay "$REPLAY_LOG" --diff "$REPLAY_LOG"
-
-echo "==> cross-backend equivalence (threaded vs reactor, same CAVR log)"
-# The deprecated thread-per-connection core and the reactor must be
-# behaviourally indistinguishable: a same-seed serial fleet recorded on
-# each backend yields byte-identical event logs, and the threaded log
-# replays through in-process re-execution with zero divergence. The two
-# logs stay under results/ so CI can upload them as artifacts when the
-# diff pins a divergent event.
-OLD_LOG="results/check_backend_threaded.replay"
-NEW_LOG="results/check_backend_reactor.replay"
-rm -f "$OLD_LOG" "$NEW_LOG"
-for BACKEND in threaded reactor; do
-    PORT_FILE="$(mktemp)"
-    rm -f "$PORT_FILE"
-    ./target/release/cava serve --addr 127.0.0.1:0 --backend "$BACKEND" \
-        --threads 4 --record "results/check_backend_$BACKEND.replay" \
-        --port-file "$PORT_FILE" &
-    SERVE_PID=$!
-    tries=0
-    while [ ! -s "$PORT_FILE" ]; do
-        tries=$((tries + 1))
-        if [ "$tries" -gt 200 ]; then
-            echo "serve ($BACKEND) never wrote its address" >&2
-            kill "$SERVE_PID" 2>/dev/null || true
-            exit 1
-        fi
-        sleep 0.05
-    done
-    # One connection keeps the event order deterministic across backends.
-    ./target/release/cava loadgen "$(cat "$PORT_FILE")" \
-        --sessions 12 --connections 1 --schemes cava,bola,rba \
-        --hold true --parity true --stop-server true > /dev/null
-    wait "$SERVE_PID"
-    rm -f "$PORT_FILE"
-done
-./target/release/cava replay "$OLD_LOG"
-./target/release/cava replay "$OLD_LOG" --diff "$NEW_LOG"
 
 echo "==> README throughput number matches committed BENCH_serve.json"
 # The README quotes the headline decisions/s; a re-baseline that forgets
