@@ -45,7 +45,7 @@ pub struct HotFn {
 /// The per-crate call graph: name-resolved edges over every parsed file
 /// of one crate.
 pub struct CrateGraph<'a> {
-    files: &'a [ParsedFile],
+    files: Vec<&'a ParsedFile>,
     /// name -> all functions bearing it (production code only).
     by_name: BTreeMap<&'a str, Vec<FnRef>>,
     /// qualified `Type::name` -> its functions (production code only).
@@ -54,7 +54,8 @@ pub struct CrateGraph<'a> {
 
 impl<'a> CrateGraph<'a> {
     /// Index `files` (all parsed files of one crate, any order).
-    pub fn build(files: &'a [ParsedFile]) -> CrateGraph<'a> {
+    pub fn build(files: impl IntoIterator<Item = &'a ParsedFile>) -> CrateGraph<'a> {
+        let files: Vec<&'a ParsedFile> = files.into_iter().collect();
         let mut by_name: BTreeMap<&'a str, Vec<FnRef>> = BTreeMap::new();
         let mut by_qualified: BTreeMap<&'a str, Vec<FnRef>> = BTreeMap::new();
         for (fi, file) in files.iter().enumerate() {

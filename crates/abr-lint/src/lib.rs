@@ -30,11 +30,13 @@
 //!   constants, `Event` variants, and match arms in `replay.rs` — drift in
 //!   either direction fails the lint.
 //!
-//! R1–R6 are token/line-level over the [`scan`] code view (comments and
-//! string contents stripped, `#[cfg(test)]` regions exempt). R7–R10 are
-//! the semantic tier: [`syntax`] recovers function extents, `impl` blocks,
-//! and hot/cold markers; [`graph`] builds a conservative intra-crate
-//! call-graph whose hot set R7 scans; R10 cross-checks two artifacts.
+//! Every rule reads one view of each source file, [`syntax::ParsedFile`]:
+//! the raw lines, the code view (comments and string contents stripped),
+//! the `#[cfg(test)]` regions (exempt from R1–R5 and R7–R9), and the
+//! function items with their extents, `impl` blocks, calls, and hot/cold
+//! markers. R1–R6 are token/line-level over the code view. R7–R10 are the
+//! semantic tier: [`graph`] builds a conservative intra-crate call-graph
+//! whose hot set R7 scans; R10 cross-checks two artifacts.
 //!
 //! Run it with `cargo run -p abr-lint` (add `-- --format json` for the
 //! machine-readable report CI consumes); see `CONTRIBUTING.md`
@@ -43,7 +45,6 @@
 pub mod allow;
 pub mod graph;
 pub mod rules;
-pub mod scan;
 pub mod syntax;
 
 pub use rules::{

@@ -1,10 +1,24 @@
-//! Lightweight Rust item parsing on top of the [`crate::scan`] code view:
-//! function extents, enclosing `impl` blocks, call-site extraction, and the
-//! `// abr-lint: hot-path` / `// abr-lint: cold` marker comments.
+//! The one source view every rule reads: comment and string-literal
+//! stripping, `#[cfg(test)]` region tracking, and lightweight item parsing
+//! (function extents, enclosing `impl` blocks, call sites, and the
+//! `// abr-lint: hot-path` / `// abr-lint: cold` marker comments).
 //!
-//! This is *not* a Rust parser — it is the smallest amount of structure the
-//! semantic rules (R7/R8) need, recovered from the stripped text where
-//! comments and string contents are already blanked:
+//! The linter has no parser dependency (shims-only build environment), so
+//! rules operate on a *code view* of each file: the raw text with comment
+//! bodies and string/char-literal contents blanked out (replaced by spaces,
+//! delimiters and newlines kept). That is enough to make substring rules
+//! such as "`Instant::now` appears" immune to doc comments, `//` prose, and
+//! format strings, which is where most naive greps go wrong.
+//!
+//! Test code is exempt from most rules. A `#[cfg(test)]` attribute marks
+//! the item it annotates as a test region: a braced item up to its matching
+//! closing brace, a `;`-terminated item (`use …;`, `mod tests;`) up to its
+//! `;`. Files under `tests/`, `benches/`, or `examples/` directories are
+//! excluded wholesale by the walker (see [`crate::rules`]).
+//!
+//! On top of the code view, [`ParsedFile::parse`] recovers the smallest
+//! amount of structure the semantic rules (R7/R8) need. It is *not* a Rust
+//! parser:
 //!
 //! * every `fn` item: its name, 1-based start/end lines, and the byte span
 //!   of its body in the stripped text;
@@ -23,8 +37,6 @@
 //! understand yields *more* reachability (extra call edges, wider spans),
 //! never less, so rule R7 over-reports rather than under-reports and the
 //! allowlist absorbs the difference.
-
-use crate::scan::strip;
 
 /// Words that look like calls (`if (x)`) or constructors (`Some(x)`) but
 /// never name a function defined in this workspace.
@@ -60,15 +72,33 @@ pub struct FnItem {
     pub calls: Vec<String>,
 }
 
-/// A file parsed into items, retaining the stripped text the spans index.
+/// One source line in both views.
+#[derive(Debug, Clone, Copy)]
+pub struct Line<'a> {
+    /// 1-based line number.
+    pub number: usize,
+    /// The raw line, exactly as read (no line terminator).
+    pub raw: &'a str,
+    /// The code view of the line: comments and literal contents blanked.
+    pub code: &'a str,
+    /// Whether the line sits inside a `#[cfg(test)]` item.
+    pub in_test: bool,
+}
+
+/// A source file in every view the rules need: raw lines, the stripped
+/// code view, per-line test marks, and the `fn` items found in it.
 #[derive(Debug, Clone)]
 pub struct ParsedFile {
-    /// The stripped code view ([`crate::scan::strip`]) the spans index.
+    /// The stripped code view ([`strip`]) the spans index.
     pub stripped: String,
     /// Every `fn` item found, in source order.
     pub fns: Vec<FnItem>,
+    /// The raw lines (`str::lines`), in order.
+    raw_lines: Vec<String>,
     /// Byte offset of the first character of each line in `stripped`.
     line_starts: Vec<usize>,
+    /// Per-line (0-based) `#[cfg(test)]` marks.
+    test_mask: Vec<bool>,
 }
 
 impl ParsedFile {
@@ -76,29 +106,304 @@ impl ParsedFile {
     pub fn parse(source: &str) -> ParsedFile {
         let stripped = strip(source);
         let line_starts = line_starts(&stripped);
-        let raw_lines: Vec<&str> = source.lines().collect();
-        let test_mask = test_mask(&stripped);
-        let impls = impl_spans(&stripped);
-        let mut fns = Vec::new();
-        for at in word_occurrences(&stripped, "fn") {
-            let Some(item) = parse_fn(&stripped, at, &line_starts, &raw_lines, &test_mask, &impls)
-            else {
-                continue;
-            };
-            fns.push(item);
-        }
-        ParsedFile {
+        let test_mask = test_mask(&stripped, &line_starts);
+        let mut file = ParsedFile {
+            raw_lines: source.lines().map(str::to_string).collect(),
             stripped,
-            fns,
+            fns: Vec::new(),
             line_starts,
-        }
+            test_mask,
+        };
+        let impls = impl_spans(&file.stripped);
+        file.fns = word_occurrences(&file.stripped, "fn")
+            .into_iter()
+            .filter_map(|at| file.parse_fn(at, &impls))
+            .collect();
+        file
     }
 
     /// 1-based line number of byte `offset` in the stripped text.
     pub fn line_of(&self, offset: usize) -> usize {
-        match self.line_starts.binary_search(&offset) {
-            Ok(idx) => idx + 1,
-            Err(idx) => idx.max(1),
+        line_of(&self.line_starts, offset)
+    }
+
+    /// Line `number` (1-based), or `None` past the end of the file.
+    pub fn line(&self, number: usize) -> Option<Line<'_>> {
+        let raw = self.raw_lines.get(number.checked_sub(1)?)?;
+        let start = *self.line_starts.get(number - 1)?;
+        let code = match self.line_starts.get(number) {
+            // Same terminator handling as `str::lines`.
+            Some(&next) => {
+                let line = &self.stripped[start..next - 1];
+                line.strip_suffix('\r').unwrap_or(line)
+            }
+            None => &self.stripped[start..],
+        };
+        Some(Line {
+            number,
+            raw,
+            code,
+            in_test: self.test_mask.get(number - 1).copied().unwrap_or(false),
+        })
+    }
+
+    /// Every line, in order.
+    pub fn lines(&self) -> impl Iterator<Item = Line<'_>> {
+        (1..=self.raw_lines.len()).filter_map(|n| self.line(n))
+    }
+
+    /// Parse the `fn` item whose keyword sits at byte `fn_at`; `None` for
+    /// a bodiless declaration or a `fn` that is not an item.
+    fn parse_fn(&self, fn_at: usize, impls: &[ImplSpan]) -> Option<FnItem> {
+        let stripped = self.stripped.as_str();
+        let bytes = stripped.as_bytes();
+        // Name: the next identifier after `fn`.
+        let after = &stripped[fn_at + 2..];
+        let name_rel = after.find(|c: char| c.is_ascii_alphabetic() || c == '_')?;
+        // Only whitespace may sit between `fn` and its name.
+        if !after[..name_rel].trim().is_empty() {
+            return None;
+        }
+        let name_start = fn_at + 2 + name_rel;
+        let name_end = stripped[name_start..]
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .map(|i| name_start + i)
+            .unwrap_or(stripped.len());
+        let name = stripped[name_start..name_end].to_string();
+        // Body: the first `{` after the signature — unless a `;` at
+        // signature level arrives first (trait method declaration, extern
+        // fn).
+        let mut i = name_end;
+        let mut angle = 0i64;
+        let mut paren = 0i64;
+        let open = loop {
+            let b = *bytes.get(i)?;
+            match b {
+                b'<' => angle += 1,
+                b'>' => angle = (angle - 1).max(0), // `->` also lands here; harmless
+                b'(' => paren += 1,
+                b')' => paren -= 1,
+                b';' if paren == 0 && angle == 0 => return None,
+                b'{' if paren == 0 => break i,
+                _ => {}
+            }
+            i += 1;
+        };
+        let close = matching_brace(bytes, open).unwrap_or(bytes.len() - 1);
+        let start_line = self.line_of(fn_at);
+        let end_line = self.line_of(close);
+        let is_test = self.test_mask.get(start_line - 1).copied().unwrap_or(false);
+        let (hot_marker, cold_marker) = markers_for(&self.raw_lines, start_line);
+        let qualified = impls
+            .iter()
+            .find(|(_, _, (a, b))| fn_at > *a && fn_at < *b)
+            .map(|(self_type, _, _)| format!("{self_type}::{name}"))
+            .unwrap_or_else(|| name.clone());
+        let calls = extract_calls(&stripped[open..=close]);
+        Some(FnItem {
+            name,
+            qualified,
+            start_line,
+            end_line,
+            body: (open, close),
+            is_test,
+            hot_marker,
+            cold_marker,
+            calls,
+        })
+    }
+}
+
+/// Lexer state for [`strip`].
+enum State {
+    Code,
+    LineComment,
+    BlockComment(u32),
+    Str,
+    RawStr(u32),
+}
+
+/// Blank comment bodies and string/char-literal contents with spaces,
+/// preserving newlines (so line numbers survive) and literal delimiters (so
+/// tokens don't merge across a blanked region).
+pub fn strip(source: &str) -> String {
+    let chars: Vec<char> = source.chars().collect();
+    let mut out = String::with_capacity(source.len());
+    let mut state = State::Code;
+    let mut i = 0;
+    while i < chars.len() {
+        let c = chars[i];
+        let next = chars.get(i + 1).copied();
+        match state {
+            State::Code => match c {
+                '/' if next == Some('/') => {
+                    state = State::LineComment;
+                    out.push_str("  ");
+                    i += 2;
+                }
+                '/' if next == Some('*') => {
+                    state = State::BlockComment(1);
+                    out.push_str("  ");
+                    i += 2;
+                }
+                '"' => {
+                    state = State::Str;
+                    out.push('"');
+                    i += 1;
+                }
+                'b' if next == Some('"') => {
+                    // Plain byte string: treat like a normal string literal.
+                    out.push(' ');
+                    out.push('"');
+                    state = State::Str;
+                    i += 2;
+                }
+                'r' | 'b' => {
+                    // Possible raw-string start: r", r#", br#"...
+                    let (consumed, hashes) = raw_string_open(&chars, i);
+                    if consumed > 0 {
+                        for _ in 0..consumed {
+                            out.push(' ');
+                        }
+                        out.pop();
+                        out.push('"');
+                        state = State::RawStr(hashes);
+                        i += consumed;
+                    } else {
+                        out.push(c);
+                        i += 1;
+                    }
+                }
+                '\'' => {
+                    // Char literal vs lifetime. A char literal closes within
+                    // a few characters; a lifetime never has a closing quote.
+                    if let Some(len) = char_literal_len(&chars, i) {
+                        out.push('\'');
+                        for _ in 1..len - 1 {
+                            out.push(' ');
+                        }
+                        out.push('\'');
+                        i += len;
+                    } else {
+                        out.push('\'');
+                        i += 1;
+                    }
+                }
+                _ => {
+                    out.push(c);
+                    i += 1;
+                }
+            },
+            State::LineComment => {
+                if c == '\n' {
+                    state = State::Code;
+                    out.push('\n');
+                } else {
+                    out.push(' ');
+                }
+                i += 1;
+            }
+            State::BlockComment(depth) => {
+                if c == '*' && next == Some('/') {
+                    state = if depth == 1 {
+                        State::Code
+                    } else {
+                        State::BlockComment(depth - 1)
+                    };
+                    out.push_str("  ");
+                    i += 2;
+                } else if c == '/' && next == Some('*') {
+                    state = State::BlockComment(depth + 1);
+                    out.push_str("  ");
+                    i += 2;
+                } else {
+                    out.push(if c == '\n' { '\n' } else { ' ' });
+                    i += 1;
+                }
+            }
+            State::Str => {
+                if c == '\\' {
+                    // Preserve the newline of a `\`-continuation so line
+                    // numbering stays aligned with the source.
+                    out.push(' ');
+                    out.push(if next == Some('\n') { '\n' } else { ' ' });
+                    i += 2;
+                } else if c == '"' {
+                    state = State::Code;
+                    out.push('"');
+                    i += 1;
+                } else {
+                    out.push(if c == '\n' { '\n' } else { ' ' });
+                    i += 1;
+                }
+            }
+            State::RawStr(hashes) => {
+                if c == '"' && closes_raw(&chars, i, hashes) {
+                    out.push('"');
+                    for _ in 0..hashes {
+                        out.push(' ');
+                    }
+                    state = State::Code;
+                    i += 1 + hashes as usize;
+                } else {
+                    out.push(if c == '\n' { '\n' } else { ' ' });
+                    i += 1;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// If `chars[at..]` opens a raw (byte) string (`r"`, `r#"`, `br##"`, ...),
+/// return `(consumed chars, hash count)`; else `(0, 0)`.
+fn raw_string_open(chars: &[char], at: usize) -> (usize, u32) {
+    let mut i = at;
+    if chars.get(i) == Some(&'b') {
+        i += 1;
+    }
+    if chars.get(i) != Some(&'r') {
+        return (0, 0);
+    }
+    i += 1;
+    let mut hashes = 0u32;
+    while chars.get(i) == Some(&'#') {
+        hashes += 1;
+        i += 1;
+    }
+    if chars.get(i) == Some(&'"') {
+        (i - at + 1, hashes)
+    } else {
+        (0, 0)
+    }
+}
+
+/// Whether the `"` at `chars[at]` is followed by `hashes` `#`s, closing a
+/// raw string.
+fn closes_raw(chars: &[char], at: usize, hashes: u32) -> bool {
+    (1..=hashes as usize).all(|k| chars.get(at + k) == Some(&'#'))
+}
+
+/// If `chars[at]` (a `'`) starts a char literal, return its total length in
+/// chars (including both quotes); `None` for lifetimes.
+fn char_literal_len(chars: &[char], at: usize) -> Option<usize> {
+    match chars.get(at + 1)? {
+        '\\' => {
+            // Escaped char: scan to the closing quote (bounded; covers
+            // \n, \x7f, \u{10FFFF}).
+            for len in 3..=12 {
+                if chars.get(at + len - 1) == Some(&'\'') {
+                    return Some(len);
+                }
+            }
+            None
+        }
+        _ => {
+            if chars.get(at + 2) == Some(&'\'') {
+                Some(3)
+            } else {
+                None
+            }
         }
     }
 }
@@ -113,12 +418,21 @@ fn line_starts(text: &str) -> Vec<usize> {
     starts
 }
 
-fn is_ident_byte(b: u8) -> bool {
+/// 1-based line number of byte `offset`, given each line's start offset.
+fn line_of(line_starts: &[usize], offset: usize) -> usize {
+    match line_starts.binary_search(&offset) {
+        Ok(idx) => idx + 1,
+        Err(idx) => idx.max(1),
+    }
+}
+
+/// Whether `b` can be part of an identifier.
+pub(crate) fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Byte offsets of word-boundary occurrences of `word` in `text`.
-fn word_occurrences(text: &str, word: &str) -> Vec<usize> {
+pub(crate) fn word_occurrences(text: &str, word: &str) -> Vec<usize> {
     let bytes = text.as_bytes();
     let mut out = Vec::new();
     let mut from = 0;
@@ -135,39 +449,47 @@ fn word_occurrences(text: &str, word: &str) -> Vec<usize> {
     out
 }
 
-/// Per-line `#[cfg(test)]` mask, same algorithm as the scanner's.
-fn test_mask(stripped: &str) -> Vec<bool> {
-    let n_lines = stripped.lines().count();
-    let mut mask = vec![false; n_lines.max(1)];
+/// Per-line (0-based) test mask: `true` for lines inside a `#[cfg(test)]`
+/// item, from the attribute's line to the line where the item ends (see
+/// [`item_end`]).
+fn test_mask(stripped: &str, line_starts: &[usize]) -> Vec<bool> {
+    const NEEDLE: &str = "#[cfg(test)]";
     let bytes = stripped.as_bytes();
-    let mut line_of = Vec::with_capacity(bytes.len());
-    let mut line = 0usize;
-    for &b in bytes {
-        line_of.push(line);
-        if b == b'\n' {
-            line += 1;
-        }
-    }
-    let needle = "#[cfg(test)]";
+    let mut mask = vec![false; line_starts.len()];
     let mut search_from = 0usize;
-    while let Some(pos) = stripped[search_from..].find(needle) {
-        let start = search_from + pos + needle.len();
-        let Some(open_rel) = stripped[start..].find('{') else {
+    while let Some(pos) = stripped[search_from..].find(NEEDLE) {
+        let attr = search_from + pos;
+        let Some(end) = item_end(bytes, attr + NEEDLE.len()) else {
             break;
         };
-        let open = start + open_rel;
-        let close = matching_brace(bytes, open).unwrap_or(bytes.len().saturating_sub(1));
-        let first = line_of.get(start - needle.len()).copied().unwrap_or(0);
-        let last = line_of
-            .get(close)
-            .copied()
-            .unwrap_or(n_lines.saturating_sub(1));
-        for m in mask.iter_mut().take(last + 1).skip(first) {
-            *m = true;
-        }
-        search_from = close.max(start);
+        let first = line_of(line_starts, attr);
+        let last = line_of(line_starts, end);
+        mask[first - 1..last].fill(true);
+        search_from = end;
     }
     mask
+}
+
+/// Byte offset where the item starting at `from` ends. Attributes between
+/// the `#[cfg(test)]` and the item (`#[allow(...)]`) are skipped over: only
+/// a `;` or `{` outside parentheses and brackets counts. A `;` first ends a
+/// bodiless item (`use …;`, `mod tests;`, `const X: [u8; 2] = …;`) right
+/// there; a `{` first ends it at the matching `}` (or the end of the text).
+/// `None` when neither follows.
+fn item_end(bytes: &[u8], from: usize) -> Option<usize> {
+    let mut depth = 0i64;
+    for (k, &b) in bytes.iter().enumerate().skip(from) {
+        match b {
+            b'(' | b'[' => depth += 1,
+            b')' | b']' => depth -= 1,
+            b';' if depth == 0 => return Some(k),
+            b'{' if depth == 0 => {
+                return Some(matching_brace(bytes, k).unwrap_or(bytes.len() - 1));
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Byte offset of the `}` matching the `{` at `open`, or `None` if the
@@ -189,8 +511,11 @@ fn matching_brace(bytes: &[u8], open: usize) -> Option<usize> {
     None
 }
 
-/// `(self_type, trait_name, body_span)` for every `impl` block.
-fn impl_spans(stripped: &str) -> Vec<(String, Option<String>, (usize, usize))> {
+/// `(self_type, trait_name, body_span)` of one `impl` block.
+type ImplSpan = (String, Option<String>, (usize, usize));
+
+/// Every `impl` block in the stripped text.
+fn impl_spans(stripped: &str) -> Vec<ImplSpan> {
     let bytes = stripped.as_bytes();
     let mut out = Vec::new();
     for at in word_occurrences(stripped, "impl") {
@@ -244,81 +569,12 @@ fn last_segment(s: &str) -> String {
         .to_string()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn parse_fn(
-    stripped: &str,
-    fn_at: usize,
-    line_starts: &[usize],
-    raw_lines: &[&str],
-    test_mask: &[bool],
-    impls: &[(String, Option<String>, (usize, usize))],
-) -> Option<FnItem> {
-    let bytes = stripped.as_bytes();
-    // Name: the next identifier after `fn`.
-    let after = &stripped[fn_at + 2..];
-    let name_rel = after.find(|c: char| c.is_ascii_alphabetic() || c == '_')?;
-    // Only whitespace may sit between `fn` and its name.
-    if !after[..name_rel].trim().is_empty() {
-        return None;
-    }
-    let name_start = fn_at + 2 + name_rel;
-    let name_end = stripped[name_start..]
-        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .map(|i| name_start + i)
-        .unwrap_or(stripped.len());
-    let name = stripped[name_start..name_end].to_string();
-    // Body: the first `{` after the signature — unless a `;` at signature
-    // level arrives first (trait method declaration, extern fn).
-    let mut i = name_end;
-    let mut angle = 0i64;
-    let mut paren = 0i64;
-    let open = loop {
-        let b = *bytes.get(i)?;
-        match b {
-            b'<' => angle += 1,
-            b'>' => angle = (angle - 1).max(0), // `->` also lands here; harmless
-            b'(' => paren += 1,
-            b')' => paren -= 1,
-            b';' if paren == 0 && angle == 0 => return None,
-            b'{' if paren == 0 => break i,
-            _ => {}
-        }
-        i += 1;
-    };
-    let close = matching_brace(bytes, open).unwrap_or(bytes.len() - 1);
-    let line_of = |off: usize| match line_starts.binary_search(&off) {
-        Ok(idx) => idx + 1,
-        Err(idx) => idx.max(1),
-    };
-    let start_line = line_of(fn_at);
-    let end_line = line_of(close);
-    let is_test = test_mask.get(start_line - 1).copied().unwrap_or(false);
-    let (hot_marker, cold_marker) = markers_for(raw_lines, start_line);
-    let qualified = impls
-        .iter()
-        .find(|(_, _, (a, b))| fn_at > *a && fn_at < *b)
-        .map(|(self_type, _, _)| format!("{self_type}::{name}"))
-        .unwrap_or_else(|| name.clone());
-    let calls = extract_calls(&stripped[open..=close]);
-    Some(FnItem {
-        name,
-        qualified,
-        start_line,
-        end_line,
-        body: (open, close),
-        is_test,
-        hot_marker,
-        cold_marker,
-        calls,
-    })
-}
-
 /// Look for marker comments in the run of comment/attribute lines directly
 /// above the `fn` line. A marker only counts as a *standalone* plain
 /// comment whose trimmed text starts with `// abr-lint:` — doc-comment
 /// prose that merely mentions the marker syntax (like this paragraph)
 /// never creates a root.
-fn markers_for(raw_lines: &[&str], start_line: usize) -> (bool, bool) {
+fn markers_for(raw_lines: &[String], start_line: usize) -> (bool, bool) {
     let mut hot = false;
     let mut cold = false;
     let mut check = |line: &str| {
@@ -403,6 +659,67 @@ fn path_prefix(body: &str, start: usize) -> Option<&str> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn strips_line_and_block_comments() {
+        let src = "let x = 1; // Instant::now\n/* HashMap */ let y = 2;\n";
+        let out = strip(src);
+        assert!(!out.contains("Instant::now"));
+        assert!(!out.contains("HashMap"));
+        assert!(out.contains("let x = 1;"));
+        assert!(out.contains("let y = 2;"));
+        assert_eq!(out.lines().count(), src.lines().count());
+    }
+
+    #[test]
+    fn strips_string_contents_but_keeps_delimiters() {
+        let src = r#"let s = "thread_rng inside a string"; s.unwrap();"#;
+        let out = strip(src);
+        assert!(!out.contains("thread_rng"));
+        assert!(out.contains(".unwrap()"));
+        assert!(out.contains('"'));
+    }
+
+    #[test]
+    fn strips_raw_strings_and_char_literals() {
+        let src = "let s = r#\"OsRng\"#; let c = 'x'; let l: &'static str = \"\";";
+        let out = strip(src);
+        assert!(!out.contains("OsRng"));
+        assert!(out.contains("'static"), "lifetime survives: {out}");
+    }
+
+    #[test]
+    fn backslash_continuation_keeps_line_numbering() {
+        // A `\` before the newline inside a string must not swallow the
+        // newline, or every later violation would report a shifted line.
+        let src = "let s = \"one \\\n   two\";\nx.unwrap();\n";
+        let out = strip(src);
+        assert_eq!(out.lines().count(), src.lines().count());
+        assert_eq!(out.lines().nth(2), Some("x.unwrap();"));
+    }
+
+    #[test]
+    fn doc_comments_are_comments() {
+        let src = "/// let ed = Dataset::by_name(\"x\").unwrap();\nfn f() {}\n";
+        let out = strip(src);
+        assert!(!out.contains("unwrap"));
+    }
+
+    #[test]
+    fn marks_cfg_test_regions() {
+        let src = "fn prod() { a.unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn t() { b.unwrap(); }\n}\nfn prod2() {}\n";
+        let f = ParsedFile::parse(src);
+        let in_test: Vec<bool> = f.lines().map(|l| l.in_test).collect();
+        assert_eq!(in_test, [false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn nested_block_comments() {
+        let src = "/* outer /* inner */ still comment */ let z = 3;";
+        let out = strip(src);
+        assert!(out.contains("let z = 3;"));
+        assert!(!out.contains("inner"));
+    }
 
     const SRC: &str = r#"
 struct Store;

@@ -87,6 +87,39 @@ fn r5_detects_unwrap_and_expect_in_library_code_only() {
 }
 
 #[test]
+fn cfg_test_on_a_bodiless_item_does_not_exempt_the_next_function() {
+    let src = include_str!("fixtures/cfg_test_bodiless.rs");
+    let hits = check_file("crates/core/src/fixture.rs", src);
+    let r5: Vec<usize> = hits
+        .iter()
+        .filter(|v| v.rule == "R5")
+        .map(|v| v.line)
+        .collect();
+    let line_of = |needle: &str| src.lines().position(|l| l.contains(needle)).unwrap() + 1;
+    assert_eq!(
+        r5,
+        [line_of("x.unwrap()"), line_of(".expect(\"sample\")")],
+        "{hits:?}"
+    );
+}
+
+#[test]
+fn r7_follows_calls_past_a_cfg_test_module_declaration() {
+    let files = vec![(
+        "crates/x/src/store.rs".to_string(),
+        include_str!("fixtures/cfg_test_bodiless.rs").to_string(),
+    )];
+    let hits = check_crate_hot_paths(&files);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert_eq!(hits[0].rule, "R7");
+    assert!(
+        hits[0].message.contains("Store::decide -> scratch_len"),
+        "witness chain in the message: {}",
+        hits[0].message
+    );
+}
+
+#[test]
 fn r6_detects_missing_forbid_unsafe_code() {
     let src = include_str!("fixtures/r6_missing_forbid.rs");
     let hits = check_crate_root("crates/x/src/lib.rs", src);

@@ -15,10 +15,11 @@
 //! absorb — the committed baseline is all zeros and must stay that way.
 //!
 //! The measuring implementation only builds with the crate's
-//! `counted-alloc` feature, and only the dedicated `exp_alloc_gate` binary
-//! installs the counting allocator; without the feature this experiment is
-//! a no-op skip so `all_experiments` still runs end to end on a default
-//! build.
+//! `counted-alloc` feature, which also makes the `exp` binary install the
+//! counting allocator (`cargo run -p abr-bench --release --features
+//! counted-alloc --bin exp -- alloc_gate`); without the feature this
+//! experiment is a no-op skip that writes nothing, so `exp all` still runs
+//! end to end on a default build.
 //!
 //! [`SessionStore::decide`]: abr_serve::store::SessionStore::decide
 
@@ -61,8 +62,8 @@ pub struct AllocBench {
 #[cfg(not(feature = "counted-alloc"))]
 pub fn run() -> std::io::Result<()> {
     // `run_all` aborts on the first experiment error, so a default build
-    // skips rather than refuses; the `exp_alloc_gate` binary itself refuses
-    // to build a measurement without the feature.
+    // skips rather than refuses. Writing no document keeps a default build
+    // from ever producing vacuous zeros.
     eprintln!(
         "alloc_gate: skipped — rebuild with `--features counted-alloc` to measure \
          (no BENCH_alloc.json written)"
@@ -274,7 +275,7 @@ mod measure {
         if !counted_alloc::counting_enabled() {
             return Err(io::Error::other(
                 "counting allocator not installed in this binary; \
-                 run `exp_alloc_gate` built with `--features counted-alloc`",
+                 run `exp alloc_gate` built with `--features counted-alloc`",
             ));
         }
         let n_chunks = dataset_provider()(VIDEO)

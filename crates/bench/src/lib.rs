@@ -17,9 +17,10 @@
 //!    summary metrics land in `results/journal/<run_id>.json` (see
 //!    [`journal`] for the schema).
 //!
-//! Run everything: `cargo run -p abr-bench --release --bin all_experiments`.
-//! Each `fig*`/`table*`/`exp_*` binary is a thin wrapper that drives one
-//! registry entry through [`engine::run_ids`].
+//! One binary, `exp`, drives the registry: `cargo run -p abr-bench --release
+//! --bin exp -- <id>...` runs the named experiments through
+//! [`engine::run_ids`], `exp all` runs every one through
+//! [`engine::run_all`], and `exp` alone lists the ids.
 //!
 //! Environment knobs (for quick iteration): `TRACES` (trace count per set,
 //! default 200), `RESULTS_DIR` (default `results`).

@@ -184,12 +184,9 @@ echo "==> bench perf gate (fresh BENCH_*.json vs committed, tolerance ${BENCH_TO
 # the fresh documents against the committed trajectory with bench_gate
 # (>BENCH_TOLERANCE% regression in decisions/sec or p99 latency fails).
 # Documents not committed yet (first revision on a branch) are skipped.
-cargo build -q --release -p abr-bench --bin exp_serve_soak --bin exp_serve_chaos \
-    --bin exp_population --bin bench_gate
-# exp_alloc_gate needs its own invocation: only this binary installs the
-# counting global allocator, and the measuring implementation only builds
-# with the counted-alloc feature.
-cargo build -q --release -p abr-bench --features counted-alloc --bin exp_alloc_gate
+# One process per gated experiment, all from a default build: the latency
+# gates must never run under the counting global allocator.
+cargo build -q --release -p abr-bench --bin exp --bin bench_gate
 REPO_ROOT="$(pwd)"
 GATE_BASE="$(mktemp -d)"
 GATE_FRESH="$(mktemp -d)"
@@ -201,13 +198,17 @@ for doc in BENCH_serve.json BENCH_serve_chaos.json BENCH_population.json \
     fi
 done
 (cd "$GATE_FRESH" && RESULTS_DIR="$GATE_FRESH/results" \
-    "$REPO_ROOT/target/release/exp_serve_soak" > /dev/null)
+    "$REPO_ROOT/target/release/exp" serve_soak > /dev/null)
 (cd "$GATE_FRESH" && RESULTS_DIR="$GATE_FRESH/results" \
-    "$REPO_ROOT/target/release/exp_serve_chaos" > /dev/null)
+    "$REPO_ROOT/target/release/exp" serve_chaos > /dev/null)
 (cd "$GATE_FRESH" && RESULTS_DIR="$GATE_FRESH/results" POP_SCALE=20000 \
-    "$REPO_ROOT/target/release/exp_population" > /dev/null)
+    "$REPO_ROOT/target/release/exp" population > /dev/null)
+# Only now rebuild `exp` with counted-alloc, which installs the counting
+# global allocator and builds alloc_gate's measuring implementation. The
+# feature build overwrites target/release/exp, so it must come last.
+cargo build -q --release -p abr-bench --features counted-alloc --bin exp
 (cd "$GATE_FRESH" && RESULTS_DIR="$GATE_FRESH/results" \
-    "$REPO_ROOT/target/release/exp_alloc_gate" > /dev/null)
+    "$REPO_ROOT/target/release/exp" alloc_gate > /dev/null)
 # Keep the fresh alloc document under results/ so CI can upload it as an
 # artifact even when a gate fails (the workflow step uses `if: always()`).
 cp "$GATE_FRESH/BENCH_alloc.json" results/BENCH_alloc_fresh.json
