@@ -472,19 +472,33 @@ fn test_mask(stripped: &str, line_starts: &[usize]) -> Vec<bool> {
 
 /// Byte offset where the item starting at `from` ends. Attributes between
 /// the `#[cfg(test)]` and the item (`#[allow(...)]`) are skipped over: only
-/// a `;` or `{` outside parentheses and brackets counts. A `;` first ends a
-/// bodiless item (`use …;`, `mod tests;`, `const X: [u8; 2] = …;`) right
-/// there; a `{` first ends it at the matching `}` (or the end of the text).
-/// `None` when neither follows.
+/// a `;`, `,`, `{` or `}` outside parentheses and brackets counts. A `;`
+/// first ends a bodiless item (`use …;`, `mod tests;`, `const X: [u8; 2] =
+/// …;`) right there; so does a `,` outside `<…>` (a struct field or enum
+/// variant, `probe: Map<K, V>,`, but not `fn helper<T, U>()`) or a `}`
+/// closing the enclosing struct or enum. After `where`, commas separate
+/// bounds instead. A `{` first ends the item at the matching `}` (or the
+/// end of the text). `None` when none of them follows.
 fn item_end(bytes: &[u8], from: usize) -> Option<usize> {
-    let mut depth = 0i64;
+    let (mut depth, mut angle) = (0i64, 0i64);
+    let mut in_where = false;
     for (k, &b) in bytes.iter().enumerate().skip(from) {
         match b {
             b'(' | b'[' => depth += 1,
             b')' | b']' => depth -= 1,
-            b';' if depth == 0 => return Some(k),
+            b'<' => angle += 1,
+            // `->` and `=>` are arrows, not closing brackets.
+            b'>' if !matches!(bytes[k - 1], b'-' | b'=') => angle = (angle - 1).max(0),
+            b';' | b'}' if depth == 0 => return Some(k),
+            b',' if depth == 0 && angle == 0 && !in_where => return Some(k),
             b'{' if depth == 0 => {
                 return Some(matching_brace(bytes, k).unwrap_or(bytes.len() - 1));
+            }
+            b'w' if bytes[k..].starts_with(b"where")
+                && !is_ident_byte(bytes[k - 1])
+                && !bytes.get(k + 5).is_some_and(|&c| is_ident_byte(c)) =>
+            {
+                in_where = true;
             }
             _ => {}
         }

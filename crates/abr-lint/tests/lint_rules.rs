@@ -104,6 +104,23 @@ fn cfg_test_on_a_bodiless_item_does_not_exempt_the_next_function() {
 }
 
 #[test]
+fn cfg_test_on_a_field_or_variant_does_not_exempt_the_next_function() {
+    let src = include_str!("fixtures/cfg_test_field.rs");
+    let hits = check_file("crates/core/src/fixture.rs", src);
+    let r5: Vec<usize> = hits
+        .iter()
+        .filter(|v| v.rule == "R5")
+        .map(|v| v.line)
+        .collect();
+    let line_of = |needle: &str| src.lines().position(|l| l.contains(needle)).unwrap() + 1;
+    assert_eq!(
+        r5,
+        [line_of("x.unwrap()"), line_of(".expect(\"mode\")")],
+        "{hits:?}"
+    );
+}
+
+#[test]
 fn r7_follows_calls_past_a_cfg_test_module_declaration() {
     let files = vec![(
         "crates/x/src/store.rs".to_string(),

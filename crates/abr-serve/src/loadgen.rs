@@ -26,8 +26,8 @@
 //! independent, so results are byte-identical at every depth; a
 //! decision's latency is its wave's round trip. At `pipeline = 1` every
 //! wave is a single request/response, and each session runs to completion
-//! before the next starts — the serial drive, which is the only depth
-//! chaos mode accepts.
+//! before the next starts — the serial drive. Opens and closes go out in
+//! waves through the same fault-aware exchange.
 //!
 //! In **hold** mode the fleet opens every session (batched by `pipeline`)
 //! before driving any of them (two [`Barrier`]s), so the server really
@@ -39,15 +39,15 @@
 //! load.
 //!
 //! **Chaos mode**: an optional seeded [`FaultConfig`] turns the fleet into
-//! a deterministic adversary. Every `period`-th frame send on a connection
-//! draws a fault from the connection's own LCG stream — a mid-frame stall,
-//! a truncated write followed by a hard close, or a connection reset
-//! between frames. The client then does what a real player would: retries
-//! with capped exponential backoff, reconnects, and re-attaches its
-//! sessions with `ResumeSession` before resending the failed frame. The
-//! server's retransmission dedup makes the resend exactly-once, so the
-//! decision parity check must **still pass under every injected fault** —
-//! that is the point of the whole exercise.
+//! a deterministic adversary at any depth. Every `period`-th frame first
+//! send on a connection draws a fault from the connection's own LCG stream
+//! — a mid-frame stall, a truncated write followed by a hard close, or a
+//! connection reset between frames. The client then does what a real
+//! player would: retries with capped exponential backoff, reconnects, and
+//! re-attaches its sessions with `ResumeSession` before resending the
+//! unanswered rest of the wave. The server's retransmission dedup makes
+//! the resend exactly-once, so the decision parity check must **still pass
+//! under every injected fault** — that is the point of the whole exercise.
 //!
 //! **Population mode**: setting [`LoadgenConfig::population`] replaces the
 //! round-robin fleet with a seeded `abr-pop` population. Sessions hit the
@@ -121,8 +121,8 @@ pub struct LoadgenConfig {
     pub population: Option<PopConfig>,
     /// Sessions in flight per connection, and so decisions batched per
     /// flush. `1` (the default) drives sessions serially, one round trip
-    /// per decision, and is the only setting chaos mode accepts. Keep
-    /// `pipeline × ~100 B` under the socket buffer (≤ 512 is always safe).
+    /// per decision. Faults work at every depth. Keep `pipeline × ~100 B`
+    /// under the socket buffer (≤ 512 is always safe).
     pub pipeline: usize,
     /// Check decision parity on every `parity_every`-th session id
     /// (`session_id % parity_every == 0`). `1` checks every session
@@ -156,19 +156,20 @@ impl Default for LoadgenConfig {
 /// Seeded fault-injection plan. Faults fire at deterministic points: the
 /// `period`-th, `2·period`-th, … frame send on each connection draws its
 /// fault kind from an LCG stream derived from `seed` and the connection
-/// index — same seed, same chaos, run after run.
+/// index — same seed, same chaos, run after run, at any pipeline depth.
+/// Only a frame's first send counts toward `period`; retries run clean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Seed of the per-connection fault streams.
     pub seed: u64,
-    /// Inject one fault every `period` frame sends (`0` = never; useful
+    /// Inject one fault every `period` first sends (`0` = never; useful
     /// for enabling the retry machinery without any injected faults).
     pub period: u64,
     /// How long a mid-frame stall holds the wire, in milliseconds. Keep it
     /// under the server's read deadline to exercise survivable stalls, or
     /// above it to force reaps.
     pub stall_ms: u64,
-    /// Retries per logical operation after a transport failure (so up to
+    /// Retries per wave after a transport failure (so up to
     /// `max_retries + 1` attempts).
     pub max_retries: u32,
     /// First retry backoff, milliseconds; doubles per attempt.
@@ -216,7 +217,7 @@ pub struct ClientStats {
     pub reconnects: u64,
     /// Sessions re-attached via `ResumeSession` after a reconnect.
     pub resumes: u64,
-    /// Operation retries (resends after a transport failure).
+    /// Wave retries (resends after a transport failure).
     pub retries: u64,
     /// Client-side socket-option failures (`set_nodelay`).
     pub sockopt_errors: u64,
@@ -493,14 +494,6 @@ pub fn plan(config: &LoadgenConfig) -> Result<Vec<SessionPlan>, LoadgenError> {
             "pipeline must be at least 1".into(),
         ));
     }
-    if config.pipeline > 1 && config.faults.is_some() {
-        // Chaos needs the serial drive: retry and resume resend one frame
-        // at a time, and a reconnect mid-wave would need the whole wave
-        // resent.
-        return Err(LoadgenError::BadConfig(
-            "fault injection requires pipeline 1".into(),
-        ));
-    }
     for name in &config.videos {
         if !scheme::is_known_video(name) {
             return Err(LoadgenError::BadConfig(format!("unknown video {name:?}")));
@@ -583,11 +576,6 @@ impl FrameIo {
             .map_err(|e| LoadgenError::Io(e.to_string()))
     }
 
-    fn send(&mut self, frame: &Frame) -> Result<(), LoadgenError> {
-        self.send_buffered(frame)?;
-        self.flush()
-    }
-
     /// Write raw pre-encoded bytes and flush them onto the wire — the
     /// fault injector's scalpel for splitting a frame mid-body.
     fn send_raw(&mut self, bytes: &[u8]) -> Result<(), LoadgenError> {
@@ -602,7 +590,8 @@ impl FrameIo {
     }
 
     fn call(&mut self, frame: &Frame) -> Result<Frame, LoadgenError> {
-        self.send(frame)?;
+        self.send_buffered(frame)?;
+        self.flush()?;
         self.recv()
     }
 
@@ -642,12 +631,6 @@ struct Conn {
     /// server-side with the ack lost, or reaped. A close retry hitting one
     /// of these is a success, not an error.
     lost: BTreeSet<u64>,
-    /// Whether the last completed `call` needed more than one attempt.
-    last_call_retried: bool,
-    /// Whether the last completed `call` absorbed an injected fault —
-    /// retried after a kill, or stalled in place. Feeds the per-decision
-    /// clean/faulted latency split.
-    last_call_faulted: bool,
     stats: ClientStats,
     /// This connection's 0-based fleet index, stamped into recorded
     /// fault-injection events.
@@ -656,6 +639,16 @@ struct Conn {
     /// by [`Conn::next_fault`] lands in the log as
     /// [`Event::FaultInjected`].
     recorder: Option<Arc<Recorder>>,
+}
+
+/// What one [`Conn::exchange`] went through besides its replies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Wave {
+    /// First reply index still missing at the first retry (the wave's
+    /// length if none): replies from here on answer a resend.
+    retried_from: usize,
+    /// The wave stalled or was retried: its latencies are not clean.
+    faulted: bool,
 }
 
 impl Conn {
@@ -677,8 +670,6 @@ impl Conn {
             open_seq: 0,
             degraded_hint: BTreeMap::new(),
             lost: BTreeSet::new(),
-            last_call_retried: false,
-            last_call_faulted: false,
             stats: ClientStats::default(),
             index: index as u64,
             recorder,
@@ -686,10 +677,7 @@ impl Conn {
     }
 
     /// Dial, handshake, and re-attach every session this connection has
-    /// open. Resume answering `UnknownSession` is recorded, not fatal (the
-    /// session may simply have closed with its ack lost); `SessionBusy` is
-    /// an error so the caller's backoff gives the server time to
-    /// finish tearing the dead connection down.
+    /// open, in open order.
     fn dial(&mut self) -> Result<FrameIo, LoadgenError> {
         let mut io = FrameIo::connect(self.addr)?;
         self.stats.sockopt_errors += io.sockopt_errors;
@@ -702,47 +690,49 @@ impl Conn {
             self.opened.iter().map(|(&sid, &seq)| (seq, sid)).collect();
         resume.sort_unstable();
         for (_, sid) in resume {
-            match io.call(&Frame::ResumeSession { session_id: sid })? {
-                Frame::ResumeOk {
-                    session_id,
-                    degraded,
-                    ..
-                } if session_id == sid => {
-                    self.stats.resumes += 1;
-                    self.degraded_hint.insert(sid, degraded);
-                }
-                Frame::Error {
-                    code: ErrorCode::UnknownSession,
-                    ..
-                } => {
-                    self.lost.insert(sid);
-                }
-                Frame::Error { code, message } => {
-                    return Err(LoadgenError::Server(format!(
-                        "resume {sid}: {code:?}: {message}"
-                    )));
-                }
-                other => {
-                    return Err(LoadgenError::Unexpected(format!("resume {sid}: {other:?}")));
-                }
-            }
+            let reply = io.call(&Frame::ResumeSession { session_id: sid })?;
+            self.resumed(sid, reply)?;
         }
         Ok(io)
     }
 
-    fn ensure_connected(&mut self) -> Result<&mut FrameIo, LoadgenError> {
-        if self.io.is_none() {
-            let io = self.dial()?;
-            self.io = Some(io);
-        }
-        match self.io.as_mut() {
-            Some(io) => Ok(io),
-            None => Err(LoadgenError::Io("connection vanished".into())),
+    /// Interpret the reply to session `sid`'s `ResumeSession`.
+    /// `UnknownSession` is recorded, not fatal (the session may simply have
+    /// closed with its ack lost); `SessionBusy` is an error so the caller's
+    /// backoff gives the server time to finish tearing the dead connection
+    /// down.
+    fn resumed(&mut self, sid: u64, reply: Frame) -> Result<(), LoadgenError> {
+        match reply {
+            Frame::ResumeOk {
+                session_id,
+                degraded,
+                ..
+            } if session_id == sid => {
+                self.stats.resumes += 1;
+                self.degraded_hint.insert(sid, degraded);
+                Ok(())
+            }
+            Frame::Error {
+                code: ErrorCode::UnknownSession,
+                ..
+            } => {
+                self.lost.insert(sid);
+                Ok(())
+            }
+            Frame::Error { code, message } => Err(LoadgenError::Server(format!(
+                "resume {sid}: {code:?}: {message}"
+            ))),
+            other => Err(LoadgenError::Unexpected(format!("resume {sid}: {other:?}"))),
         }
     }
 
-    fn connect_now(&mut self) -> Result<(), LoadgenError> {
-        self.ensure_connected().map(|_| ())
+    fn ensure_connected(&mut self) -> Result<&mut FrameIo, LoadgenError> {
+        if self.io.is_none() {
+            self.io = Some(self.dial()?);
+        }
+        self.io
+            .as_mut()
+            .ok_or_else(|| LoadgenError::Io("connection vanished".into()))
     }
 
     /// Draw the fault (if any) scheduled for the next frame send.
@@ -774,133 +764,121 @@ impl Conn {
         Some(kind)
     }
 
-    /// One request/response attempt, injecting the scheduled fault when
-    /// this is the operation's first try — retries always run clean, so a
-    /// faulted operation cannot starve itself.
-    fn try_call(&mut self, frame: &Frame, allow_fault: bool) -> Result<Frame, LoadgenError> {
-        let fault = if allow_fault { self.next_fault() } else { None };
-        self.last_call_faulted |= fault.is_some();
-        let stall_ms = self.faults.map_or(0, |f| f.stall_ms);
-        match fault {
-            None => {
-                let io = self.ensure_connected()?;
-                io.send(frame)?;
-                io.recv()
-            }
-            Some(FaultKind::Stall) => {
-                let bytes = protocol::encode_frame(frame).map_err(LoadgenError::Wire)?;
-                let split = (bytes.len() / 2).max(1);
-                self.stats.stalls += 1;
-                let io = self.ensure_connected()?;
-                io.send_raw(&bytes[..split])?;
-                thread::sleep(Duration::from_millis(stall_ms));
-                io.send_raw(&bytes[split..])?;
-                io.recv()
-            }
-            Some(FaultKind::Truncate) => {
-                let bytes = protocol::encode_frame(frame).map_err(LoadgenError::Wire)?;
-                let split = (bytes.len() / 2).max(1);
-                self.stats.truncated_writes += 1;
-                let io = self.ensure_connected()?;
-                let _ = io.send_raw(&bytes[..split]);
-                self.io = None;
-                Err(LoadgenError::Io("injected truncated write".into()))
-            }
-            Some(FaultKind::Reset) => {
-                self.stats.resets += 1;
-                self.io = None;
-                Err(LoadgenError::Io("injected connection reset".into()))
-            }
-        }
-    }
-
-    /// Send `frame` and wait for its reply, retrying with capped
-    /// exponential backoff after transport failures (reconnecting and
-    /// resuming sessions in between). Application-level `Error` frames
-    /// come back as `Ok` for the caller to interpret — except
-    /// [`ErrorCode::Timeout`], which means the server reaped this
-    /// connection and is transport-level by nature.
-    fn call(&mut self, frame: &Frame) -> Result<Frame, String> {
-        let max_attempts = self.faults.map_or(0, |f| f.max_retries) + 1;
-        self.last_call_retried = false;
-        self.last_call_faulted = false;
-        let mut last_err = String::new();
-        for attempt in 0..max_attempts {
-            if attempt > 0 {
-                self.last_call_retried = true;
-                self.stats.retries += 1;
-                if let Some(f) = self.faults {
-                    let backoff = f
-                        .backoff_base_ms
-                        .saturating_mul(1u64 << u32::min(attempt - 1, 16))
-                        .min(f.backoff_cap_ms);
-                    thread::sleep(Duration::from_millis(backoff));
-                }
-            }
-            match self.try_call(frame, attempt == 0) {
-                Ok(Frame::Error {
-                    code: ErrorCode::Timeout,
-                    message,
-                }) => {
-                    self.io = None;
-                    last_err = format!("server reaped connection: {message}");
-                }
-                Ok(reply) => return Ok(reply),
-                Err(e) => {
-                    self.io = None;
-                    last_err = e.to_string();
-                }
-            }
-        }
-        Err(last_err)
-    }
-
     /// Send a wave of frames and collect one reply per frame, in order,
-    /// into `replies`. A lone frame is a [`Conn::call`] — fault draw,
-    /// retries, reconnect and resume included — so a `pipeline = 1` drive
-    /// speaks exactly the serial protocol. A larger wave is written as one
-    /// flush and read back in order. It never carries faults (`plan`
-    /// rejects them above pipeline 1); a transport failure drops the
-    /// connection and fails every frame left unanswered, and the next wave
-    /// redials and resumes.
-    fn exchange(&mut self, frames: &[Frame], replies: &mut Vec<Result<Frame, String>>) {
+    /// into `replies` — the connection's only send path. A transport
+    /// failure or an [`ErrorCode::Timeout`] reply drops the connection;
+    /// each of up to `max_retries` retries backs off (capped exponential),
+    /// redials (resuming every open session) and resends only the
+    /// unanswered frames. Frames still unanswered get the last error.
+    fn exchange(&mut self, frames: &[Frame], replies: &mut Vec<Result<Frame, String>>) -> Wave {
         replies.clear();
-        if let [frame] = frames {
-            replies.push(self.call(frame));
-            return;
-        }
-        self.last_call_retried = false;
-        self.last_call_faulted = false;
-        if frames.is_empty() {
-            return;
-        }
-        let sent = self.ensure_connected().and_then(|io| {
-            frames
-                .iter()
-                .try_for_each(|frame| io.send_buffered(frame))?;
-            io.flush()
-        });
-        if let Err(e) = sent {
-            self.io = None;
-            let e = e.to_string();
-            replies.extend(frames.iter().map(|_| Err(e.clone())));
-            return;
-        }
-        for _ in frames {
-            let reply = match self.io.as_mut().map(FrameIo::recv) {
-                Some(Ok(Frame::Error {
-                    code: ErrorCode::Timeout,
-                    message,
-                })) => Err(format!("server reaped connection: {message}")),
-                Some(Ok(frame)) => Ok(frame),
-                Some(Err(e)) => Err(e.to_string()),
-                None => Err("connection lost mid-wave".to_string()),
+        let mut wave = Wave {
+            retried_from: frames.len(),
+            faulted: false,
+        };
+        let max_retries = self.faults.map_or(0, |f| f.max_retries);
+        let mut retries = 0;
+        while replies.len() < frames.len() {
+            let unanswered = &frames[replies.len()..];
+            let Err(e) = self.attempt(unanswered, retries == 0, replies, &mut wave.faulted) else {
+                break;
             };
-            if reply.is_err() {
-                self.io = None;
+            self.io = None;
+            if retries == max_retries {
+                replies.resize(frames.len(), Err(e.to_string()));
+                break;
             }
-            replies.push(reply);
+            retries += 1;
+            if retries == 1 {
+                wave.retried_from = replies.len();
+                wave.faulted = true;
+            }
+            self.stats.retries += 1;
+            if let Some(f) = self.faults {
+                let backoff = f
+                    .backoff_base_ms
+                    .saturating_mul(1u64 << u32::min(retries - 1, 16))
+                    .min(f.backoff_cap_ms);
+                thread::sleep(Duration::from_millis(backoff));
+            }
         }
+        wave
+    }
+
+    /// One attempt at a wave's unanswered `frames`: write them in order,
+    /// then read their replies into `replies`. Only the first attempt
+    /// draws faults (one per frame, its first send), so retries run clean.
+    /// A kill first lets the frames ahead of it land and be answered, so
+    /// the fault schedule alone decides what reached the server.
+    fn attempt(
+        &mut self,
+        frames: &[Frame],
+        first: bool,
+        replies: &mut Vec<Result<Frame, String>>,
+        faulted: &mut bool,
+    ) -> Result<(), LoadgenError> {
+        let stall_ms = self.faults.map_or(0, |f| f.stall_ms);
+        for (ahead, frame) in frames.iter().enumerate() {
+            let fault = if first { self.next_fault() } else { None };
+            *faulted |= fault.is_some();
+            match fault {
+                None => self.ensure_connected()?.send_buffered(frame)?,
+                Some(FaultKind::Stall) => {
+                    let bytes = protocol::encode_frame(frame).map_err(LoadgenError::Wire)?;
+                    let (head, tail) = bytes.split_at((bytes.len() / 2).max(1));
+                    self.stats.stalls += 1;
+                    let io = self.ensure_connected()?;
+                    io.send_raw(head)?;
+                    thread::sleep(Duration::from_millis(stall_ms));
+                    io.send_raw(tail)?;
+                }
+                Some(FaultKind::Truncate) => {
+                    let bytes = protocol::encode_frame(frame).map_err(LoadgenError::Wire)?;
+                    self.collect(ahead, replies)?;
+                    self.stats.truncated_writes += 1;
+                    let head = &bytes[..(bytes.len() / 2).max(1)];
+                    let _ = self.ensure_connected()?.send_raw(head);
+                    self.io = None;
+                    return Err(LoadgenError::Io("injected truncated write".into()));
+                }
+                Some(FaultKind::Reset) => {
+                    self.collect(ahead, replies)?;
+                    self.stats.resets += 1;
+                    self.io = None;
+                    return Err(LoadgenError::Io("injected connection reset".into()));
+                }
+            }
+        }
+        self.collect(frames.len(), replies)
+    }
+
+    /// Flush what the current attempt wrote and read its `n` replies into
+    /// `replies`, in order. A `Timeout` reply is a transport failure.
+    fn collect(
+        &mut self,
+        n: usize,
+        replies: &mut Vec<Result<Frame, String>>,
+    ) -> Result<(), LoadgenError> {
+        if n == 0 {
+            return Ok(());
+        }
+        let Some(io) = self.io.as_mut() else {
+            return Err(LoadgenError::Io("connection lost mid-wave".into()));
+        };
+        io.flush()?;
+        for _ in 0..n {
+            let reply = io.recv()?;
+            if let Frame::Error {
+                code: ErrorCode::Timeout,
+                message,
+            } = &reply
+            {
+                let reaped = format!("server reaped connection: {message}");
+                return Err(LoadgenError::Io(reaped));
+            }
+            replies.push(Ok(reply));
+        }
+        Ok(())
     }
 
     fn forget(&mut self, sid: u64) {
@@ -927,11 +905,18 @@ impl Conn {
         }
     }
 
-    /// Interpret the reply to session `sid`'s [`Conn::open_frame`]:
-    /// `Ok(degraded)` once the server holds the session.
+    /// Interpret the reply to session `sid`'s [`Conn::open_frame`]
+    /// (`retried`: it answers a resend): `Ok(degraded)` once the server
+    /// holds the session. That also takes it off `lost`, where a resume
+    /// puts an open that had not landed yet.
     // abr-lint: cold — once-per-session control traffic, not the decision loop
-    fn opened(&mut self, sid: u64, reply: Result<Frame, String>) -> Result<bool, String> {
-        match reply {
+    fn opened(
+        &mut self,
+        sid: u64,
+        reply: Result<Frame, String>,
+        retried: bool,
+    ) -> Result<bool, String> {
+        let held = match reply {
             Ok(Frame::OpenOk {
                 session_id,
                 degraded,
@@ -940,23 +925,17 @@ impl Conn {
             Ok(Frame::Error {
                 code: ErrorCode::DuplicateSession,
                 ..
-            }) if self.last_call_retried => {
-                self.lost.remove(&sid);
-                Ok(self.degraded_hint.get(&sid).copied().unwrap_or(false))
-            }
-            Ok(Frame::Error { code, message }) => {
-                self.forget(sid);
-                Err(format!("{code:?}: {message}"))
-            }
-            Ok(other) => {
-                self.forget(sid);
-                Err(format!("unexpected reply {other:?}"))
-            }
-            Err(e) => {
-                self.forget(sid);
-                Err(e)
-            }
+            }) if retried => Ok(self.degraded_hint.get(&sid).copied().unwrap_or(false)),
+            Ok(Frame::Error { code, message }) => Err(format!("{code:?}: {message}")),
+            Ok(other) => Err(format!("unexpected reply {other:?}")),
+            Err(e) => Err(e),
+        };
+        if held.is_ok() {
+            self.lost.remove(&sid);
+        } else {
+            self.forget(sid);
         }
+        held
     }
 
     /// Interpret the reply to session `sid`'s `CloseSession`. `None`
@@ -1151,9 +1130,10 @@ impl Drive<'_> {
             frames.push(self.conn.open_frame(&plans[i], vmaf));
         }
         let mut replies = Vec::with_capacity(batch.len());
-        self.conn.exchange(&frames, &mut replies);
-        for (&i, reply) in batch.iter().zip(replies) {
-            match self.conn.opened(plans[i].session_id, reply) {
+        let wave = self.conn.exchange(&frames, &mut replies);
+        for (k, (&i, reply)) in batch.iter().zip(replies).enumerate() {
+            let retried = k >= wave.retried_from;
+            match self.conn.opened(plans[i].session_id, reply, retried) {
                 Ok(degraded) => self.outcomes[i].degraded = degraded,
                 Err(e) => self.outcomes[i].error = Some(e),
             }
@@ -1251,11 +1231,10 @@ impl Drive<'_> {
 
             // Every decision in the wave shares its round trip.
             let t0 = (self.now)();
-            self.conn.exchange(&frames, &mut replies);
+            let wave = self.conn.exchange(&frames, &mut replies);
             let rtt = (self.now)() - t0;
-            let faulted = self.conn.last_call_faulted || self.conn.last_call_retried;
             for (slot, reply) in live.iter_mut().zip(replies.drain(..)) {
-                apply_reply(&mut self.outcomes[slot.i], slot, reply, rtt, faulted);
+                apply_reply(&mut self.outcomes[slot.i], slot, reply, rtt, wave.faulted);
             }
         }
     }
@@ -1322,7 +1301,7 @@ fn drive_connection(
     recorder: Option<Arc<Recorder>>,
 ) -> (Vec<SessionOutcome>, Option<LoadgenError>, ClientStats) {
     let mut conn = Conn::new(addr, index, config.faults, recorder);
-    let fatal = conn.connect_now().err();
+    let fatal = conn.ensure_connected().err();
     let mut drive = Drive {
         conn,
         plans,
@@ -1555,6 +1534,35 @@ mod tests {
         // it into the plans.
         assert!(a.iter().any(|p| p.control.abandon_at_s.is_some()));
         assert!(a.iter().any(|p| !p.control.seeks.is_empty()));
+    }
+
+    /// An open whose frame died mid-wave: the reconnect's resume misses the
+    /// session (it never landed) and marks it lost; the resent open then
+    /// lands. From there on the session is live, so a later
+    /// `UnknownSession` on close is a genuine error, not a lost ack.
+    #[test]
+    fn an_open_that_lands_on_resend_is_no_longer_lost() {
+        let config = LoadgenConfig::default();
+        let plans = plan(&config).unwrap();
+        let sid = plans[0].session_id;
+        let mut conn = Conn::new("127.0.0.1:9".parse().unwrap(), 0, None, None);
+        let open = conn.open_frame(&plans[0], 0);
+        assert!(matches!(open, Frame::OpenSession { session_id, .. } if session_id == sid));
+        let unknown = |message: &str| Frame::Error {
+            code: ErrorCode::UnknownSession,
+            message: message.into(),
+        };
+        conn.resumed(sid, unknown("resume")).unwrap();
+        assert!(conn.lost.contains(&sid));
+        let reply = Ok(Frame::OpenOk {
+            session_id: sid,
+            degraded: false,
+            n_tracks: 6,
+            n_chunks: 10,
+        });
+        assert_eq!(conn.opened(sid, reply, true), Ok(false));
+        assert!(!conn.lost.contains(&sid));
+        assert!(conn.closed(sid, Ok(unknown("close"))).is_err());
     }
 
     #[test]

@@ -40,8 +40,16 @@ fn chaos_server_config() -> ServerConfig {
     }
 }
 
+/// Faults act at every pipeline depth: at 1 each wave is one frame, at 16
+/// a kill mid-wave resends the unanswered rest after the reconnect.
 #[test]
 fn fleet_under_faults_keeps_full_parity() {
+    for pipeline in [1, 16] {
+        faulted_fleet_keeps_full_parity(pipeline);
+    }
+}
+
+fn faulted_fleet_keeps_full_parity(pipeline: usize) {
     let bound = Server::bind("127.0.0.1:0", chaos_server_config(), dataset_provider()).unwrap();
     let addr = bound.addr();
     let server = thread::spawn(move || bound.serve());
@@ -59,6 +67,7 @@ fn fleet_under_faults_keeps_full_parity() {
             stall_ms: 2,
             ..FaultConfig::default()
         }),
+        pipeline,
         ..LoadgenConfig::default()
     };
     let provider = dataset_provider();
@@ -70,21 +79,35 @@ fn fleet_under_faults_keeps_full_parity() {
 
     // The chaos actually happened…
     let cs = report.client_stats;
-    assert!(cs.faults_injected() > 0, "no faults fired: {cs:?}");
-    assert!(cs.retries > 0, "faults never forced a retry: {cs:?}");
+    assert!(
+        cs.faults_injected() > 0,
+        "pipeline {pipeline}: no faults fired: {cs:?}"
+    );
+    assert!(
+        cs.retries > 0,
+        "pipeline {pipeline}: faults never forced a retry: {cs:?}"
+    );
     assert!(
         cs.resets + cs.truncated_writes > 0,
-        "no connection-killing faults drawn: {cs:?}"
+        "pipeline {pipeline}: no connection-killing faults drawn: {cs:?}"
     );
     assert!(
         cs.reconnects > 0,
-        "killed connections never redialed: {cs:?}"
+        "pipeline {pipeline}: killed connections never redialed: {cs:?}"
     );
 
     // …and decisions stayed exactly right anyway.
     assert_eq!(report.outcomes.len(), 36);
-    assert_eq!(report.errors(), vec![], "sessions hit errors");
-    assert_eq!(report.parity_mismatches(), vec![], "parity broken");
+    assert_eq!(
+        report.errors(),
+        vec![],
+        "pipeline {pipeline}: sessions hit errors"
+    );
+    assert_eq!(
+        report.parity_mismatches(),
+        vec![],
+        "pipeline {pipeline}: parity broken"
+    );
     assert!(report.outcomes.iter().all(|o| o.parity == Some(true)));
     for o in &report.outcomes {
         assert_eq!(o.closed_decisions, Some(o.latencies_s.len() as u64));
@@ -100,7 +123,10 @@ fn fleet_under_faults_keeps_full_parity() {
     assert_eq!(stats.degraded_opens, 0);
     // Resets/truncations drop connections mid-session; the orphan grace
     // window means those sessions were resumed, not aborted.
-    assert_eq!(stats.sessions_aborted, 0, "an orphaned session was lost");
+    assert_eq!(
+        stats.sessions_aborted, 0,
+        "pipeline {pipeline}: an orphaned session was lost"
+    );
     assert_eq!(cs.resumes, stats.sessions_resumed);
 }
 
@@ -205,6 +231,12 @@ fn trickling_connection_does_not_stall_healthy_sessions() {
 
 #[test]
 fn chaos_is_deterministic_run_to_run() {
+    for pipeline in [1, 16] {
+        chaos_runs_agree(pipeline);
+    }
+}
+
+fn chaos_runs_agree(pipeline: usize) {
     let mut reports = Vec::new();
     for _ in 0..2 {
         let bound = Server::bind("127.0.0.1:0", chaos_server_config(), dataset_provider()).unwrap();
@@ -223,6 +255,7 @@ fn chaos_is_deterministic_run_to_run() {
                 stall_ms: 1,
                 ..FaultConfig::default()
             }),
+            pipeline,
             ..LoadgenConfig::default()
         };
         let provider = dataset_provider();
@@ -245,7 +278,7 @@ fn chaos_is_deterministic_run_to_run() {
         assert_eq!(oa.plan, ob.plan);
         assert_eq!(
             oa.result, ob.result,
-            "session {} diverged across identical chaos runs",
+            "pipeline {pipeline}: session {} diverged across identical chaos runs",
             oa.plan.session_id
         );
     }

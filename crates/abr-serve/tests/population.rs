@@ -102,40 +102,49 @@ fn population_fleet_keeps_parity_with_seeks_and_abandons() {
 
 #[test]
 fn population_fleet_is_deterministic_under_faults() {
+    for pipeline in [1, 16] {
+        faulted_population_runs_agree(pipeline);
+    }
+}
+
+fn faulted_population_runs_agree(pipeline: usize) {
     let mut reports = Vec::new();
     for _ in 0..2 {
         let bound = Server::bind("127.0.0.1:0", pop_server_config(), dataset_provider()).unwrap();
         let addr = bound.addr();
         let server = thread::spawn(move || bound.serve());
-        let config = pop_loadgen_config(
-            18,
-            Some(FaultConfig {
-                seed: 5,
-                period: 6,
-                stall_ms: 1,
-                ..FaultConfig::default()
-            }),
-        );
+        let config = LoadgenConfig {
+            pipeline,
+            ..pop_loadgen_config(
+                18,
+                Some(FaultConfig {
+                    seed: 5,
+                    period: 6,
+                    stall_ms: 1,
+                    ..FaultConfig::default()
+                }),
+            )
+        };
         let provider = dataset_provider();
         let now = tick_clock();
         let report = loadgen::run(addr, &config, &provider, &now).unwrap();
         loadgen::shutdown_server(addr).unwrap();
         server.join().unwrap();
-        assert_eq!(report.errors(), vec![]);
-        assert_eq!(report.parity_mismatches(), vec![]);
+        assert_eq!(report.errors(), vec![], "pipeline {pipeline}");
+        assert_eq!(report.parity_mismatches(), vec![], "pipeline {pipeline}");
         reports.push(report);
     }
     let (a, b) = (&reports[0], &reports[1]);
     assert!(
         a.client_stats.faults_injected() > 0,
-        "no faults fired: {:?}",
+        "pipeline {pipeline}: no faults fired: {:?}",
         a.client_stats
     );
     for (oa, ob) in a.outcomes.iter().zip(&b.outcomes) {
         assert_eq!(oa.plan, ob.plan);
         assert_eq!(
             oa.result, ob.result,
-            "population session {} diverged across identical runs",
+            "pipeline {pipeline}: population session {} diverged across identical runs",
             oa.plan.session_id
         );
     }

@@ -33,10 +33,11 @@ fn chaos_server_config() -> ServerConfig {
     }
 }
 
-/// Run a faulted fleet with a shared in-memory recorder and hand back the
-/// raw log bytes. Mirrors the chaos integration harness: resets and
-/// truncated writes force reconnects and session resumes mid-run.
-fn record_chaos_run(sessions: usize) -> Vec<u8> {
+/// Run a faulted fleet at `pipeline` sessions in flight per connection
+/// with a shared in-memory recorder and hand back the raw log bytes.
+/// Mirrors the chaos integration harness: resets and truncated writes
+/// force reconnects and session resumes mid-run.
+fn record_chaos_run(sessions: usize, pipeline: usize) -> Vec<u8> {
     let sink = MemoryLog::new();
     let recorder = Arc::new(Recorder::new(Box::new(sink.clone())).unwrap());
     recorder.record(&Event::RunMeta {
@@ -67,6 +68,7 @@ fn record_chaos_run(sessions: usize) -> Vec<u8> {
             stall_ms: 2,
             ..FaultConfig::default()
         }),
+        pipeline,
         ..LoadgenConfig::default()
     };
     let provider = dataset_provider();
@@ -76,10 +78,14 @@ fn record_chaos_run(sessions: usize) -> Vec<u8> {
     loadgen::shutdown_server(addr).unwrap();
     server.join().unwrap();
 
-    assert_eq!(report.errors(), vec![], "chaos sessions hit errors");
+    assert_eq!(
+        report.errors(),
+        vec![],
+        "pipeline {pipeline}: chaos sessions hit errors"
+    );
     assert!(
         report.client_stats.faults_injected() > 0,
-        "no faults fired: {:?}",
+        "pipeline {pipeline}: no faults fired: {:?}",
         report.client_stats
     );
     recorder.finish().unwrap();
@@ -89,16 +95,31 @@ fn record_chaos_run(sessions: usize) -> Vec<u8> {
 
 #[test]
 fn chaos_run_replays_bit_identically_and_seeks_consistently() {
-    let bytes = record_chaos_run(12);
+    for pipeline in [1, 16] {
+        replays_bit_identically_and_seeks_consistently(pipeline);
+    }
+}
+
+fn replays_bit_identically_and_seeks_consistently(pipeline: usize) {
+    let bytes = record_chaos_run(12, pipeline);
     let log = decode_log(&bytes).unwrap();
-    assert!(!log.truncated, "recorder flushed a complete log");
-    assert!(log.ended(), "finished run must close with RunEnd");
+    assert!(
+        !log.truncated,
+        "pipeline {pipeline}: recorder flushed a complete log"
+    );
+    assert!(
+        log.ended(),
+        "pipeline {pipeline}: finished run must close with RunEnd"
+    );
     let decisions = log
         .events
         .iter()
         .filter(|r| matches!(r.event, Event::Decision { .. }))
         .count();
-    assert!(decisions > 0, "chaos run recorded no decisions");
+    assert!(
+        decisions > 0,
+        "pipeline {pipeline}: chaos run recorded no decisions"
+    );
 
     // Tick-for-tick replay: every recorded decision re-executes through
     // fresh algorithm instances and must come back bit-identical.
@@ -106,13 +127,19 @@ fn chaos_run_replays_bit_identically_and_seeks_consistently() {
     player.run_to_end();
     assert!(
         player.divergences().is_empty(),
-        "replay diverged: {:?}",
+        "pipeline {pipeline}: replay diverged: {:?}",
         player.first_divergence()
     );
     let summary = player.summary();
     assert_eq!(summary.applied, log.len());
-    assert_eq!(summary.open_sessions, 0, "all sessions closed in the log");
-    assert!(summary.faults > 0, "fault events lost in replay");
+    assert_eq!(
+        summary.open_sessions, 0,
+        "pipeline {pipeline}: all sessions closed in the log"
+    );
+    assert!(
+        summary.faults > 0,
+        "pipeline {pipeline}: fault events lost in replay"
+    );
 
     // seek_to_tick at several mid-log targets must land in exactly the
     // state reached by stepping one tick at a time from the start.
@@ -128,14 +155,20 @@ fn chaos_run_replays_bit_identically_and_seeks_consistently() {
         assert_eq!(
             seeker.state_digest(),
             stepper.state_digest(),
-            "seek to tick {target} disagrees with stepping"
+            "pipeline {pipeline}: seek to tick {target} disagrees with stepping"
         );
     }
 }
 
 #[test]
 fn diff_pins_first_divergence_in_a_perturbed_chaos_log() {
-    let bytes = record_chaos_run(6);
+    for pipeline in [1, 16] {
+        diff_pins_first_divergence(pipeline);
+    }
+}
+
+fn diff_pins_first_divergence(pipeline: usize) {
+    let bytes = record_chaos_run(6, pipeline);
     let log = decode_log(&bytes).unwrap();
 
     // Perturb one mid-log decision: bump the level the server answered.

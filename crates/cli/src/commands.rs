@@ -610,15 +610,16 @@ fn csv_list(raw: &str) -> Vec<String> {
 /// [--stop-server BOOL] [--population N]`
 ///
 /// With `--faults true` the fleet injects deterministic mid-frame stalls,
-/// truncated writes, and connection resets (every `--fault-period` sends,
-/// streamed from `--fault-seed`), recovering via retry + reconnect +
-/// session resume. Exits nonzero on any session error or parity mismatch —
-/// parity must hold even under faults.
+/// truncated writes, and connection resets (every `--fault-period` frame
+/// first sends, streamed from `--fault-seed`), recovering via retry +
+/// reconnect + session resume at any `--pipeline` depth. Exits nonzero on
+/// any session error or parity mismatch — parity must hold even under
+/// faults.
 ///
 /// `--pipeline N` (default 1) keeps N sessions in flight on each
 /// connection, so each flush batches N decisions — the soak-scale drive.
 /// Results are byte-identical at every depth; at 1 each session runs to
-/// completion before the next, and faults require `--pipeline 1`. With
+/// completion before the next. With
 /// `--hold true` the fleet opens every session before driving any and
 /// reports how many the server held. `--parity-every N` samples the
 /// in-process parity replay to every Nth session id.

@@ -324,30 +324,40 @@ fn serve_and_loadgen_round_trip_over_loopback() {
     }
     assert!(!addr.is_empty(), "server never wrote its address");
 
-    let out = cava(&[
-        "loadgen",
-        &addr,
-        "--sessions",
-        "12",
-        "--connections",
-        "3",
-        "--schemes",
-        "cava,bola,rba",
-        "--faults",
-        "true",
-        "--fault-period",
-        "6",
-        "--fault-stall-ms",
-        "2",
-        "--stop-server",
-        "true",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("12 sessions over 3 connections"), "{text}");
-    assert!(text.contains("faults:"), "{text}");
-    assert!(text.contains("parity: 12 checked, 0 mismatches"), "{text}");
-    assert!(text.contains("server stopped"), "{text}");
+    // The same faulted fleet serially, then four sessions in flight per
+    // connection; the second run stops the server.
+    for (pipeline, stop) in [("1", "false"), ("4", "true")] {
+        let out = cava(&[
+            "loadgen",
+            &addr,
+            "--sessions",
+            "12",
+            "--connections",
+            "3",
+            "--schemes",
+            "cava,bola,rba",
+            "--faults",
+            "true",
+            "--fault-period",
+            "6",
+            "--fault-stall-ms",
+            "2",
+            "--pipeline",
+            pipeline,
+            "--stop-server",
+            stop,
+        ]);
+        assert!(
+            out.status.success(),
+            "pipeline {pipeline}: {}",
+            stderr(&out)
+        );
+        let text = stdout(&out);
+        assert!(text.contains("12 sessions over 3 connections"), "{text}");
+        assert!(text.contains("faults:"), "{text}");
+        assert!(text.contains("parity: 12 checked, 0 mismatches"), "{text}");
+        assert_eq!(text.contains("server stopped"), stop == "true", "{text}");
+    }
 
     // --stop-server shut the server down; it exits on its own.
     let status = server.wait().expect("server exits");

@@ -212,10 +212,13 @@ cargo build -q --release -p abr-bench --features counted-alloc --bin exp
 # Keep the fresh alloc document under results/ so CI can upload it as an
 # artifact even when a gate fails (the workflow step uses `if: always()`).
 cp "$GATE_FRESH/BENCH_alloc.json" results/BENCH_alloc_fresh.json
+# Every gate runs before any verdict, so a failing latency field in one
+# document cannot hide a regression (say, an allocation) in another.
+FAILED_GATES=""
 for doc in BENCH_serve.json BENCH_serve_chaos.json BENCH_population.json; do
     if [ -f "$GATE_BASE/$doc" ] && [ -f "$GATE_FRESH/$doc" ]; then
         ./target/release/bench_gate "$GATE_BASE/$doc" "$GATE_FRESH/$doc" \
-            --tolerance "$BENCH_TOLERANCE"
+            --tolerance "$BENCH_TOLERANCE" || FAILED_GATES="$FAILED_GATES $doc"
     fi
 done
 # The alloc document is held to 0% — allocs_per_decision/bytes_per_decision
@@ -223,8 +226,13 @@ done
 # baseline is all zeros, so this gate never loosens with --bench-tolerance.
 if [ -f "$GATE_BASE/BENCH_alloc.json" ]; then
     ./target/release/bench_gate "$GATE_BASE/BENCH_alloc.json" \
-        "$GATE_FRESH/BENCH_alloc.json" --tolerance 0
+        "$GATE_FRESH/BENCH_alloc.json" --tolerance 0 ||
+        FAILED_GATES="$FAILED_GATES BENCH_alloc.json"
 fi
 rm -rf "$GATE_BASE" "$GATE_FRESH"
+if [ -n "$FAILED_GATES" ]; then
+    echo "bench gate failed for:$FAILED_GATES" >&2
+    exit 1
+fi
 
 echo "all checks passed"
