@@ -9,7 +9,7 @@
 //! | R5 | library crates | `.unwrap()`/`.expect(` outside tests — I/O and parse failures must propagate; provably-infallible cases go in the allowlist |
 //! | R6 | every crate root | missing `#![forbid(unsafe_code)]` |
 //! | R7 | functions reachable from `// abr-lint: hot-path` roots | heap allocation (`Vec::new`, `vec![`, `Box::new`, `format!`, `.to_vec(`, `.collect(`, `String::from`) on the decision hot path |
-//! | R8 | all crates | a `lock()`/`try_lock()` guard whose lexical scope contains socket/stream I/O (`read`/`write`/`flush`) or `thread::sleep` |
+//! | R8 | all crates | a `lock()`/`try_lock()` guard whose lexical scope contains socket/stream I/O (`read`/`write`/`flush`), `thread::sleep` or the reactor's `sys_poll::wait` |
 //! | R9 | `abr-serve` protocol/replay encode paths | narrowing `as` casts (`as u8/u16/u32/usize`) with no adjacent bounds guard |
 //! | R10 | `docs/REPLAY.md` × `replay.rs` | drift between the spec's record-type table and the constants/variants/match arms in the decoder |
 //!
@@ -416,6 +416,8 @@ const LOCKED_IO_PATTERNS: &[&str] = &[
     "thread::sleep",
     "sleep(",
     ".accept(",
+    // The reactor's idle wait blocks in poll(2) for up to `poll_ms`.
+    "sys_poll::wait(",
     // Reactor sweep helpers (crates/abr-serve/src/reactor.rs): each of
     // these performs socket reads/writes/flushes internally, so a guard
     // held across a call is a guard held across I/O even though no bare

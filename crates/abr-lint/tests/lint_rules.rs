@@ -226,6 +226,24 @@ fn r8_flags_guard_held_across_io_but_not_released_guards() {
 }
 
 #[test]
+fn r8_flags_guard_held_across_the_poll_wait() {
+    let src = include_str!("fixtures/r8_lock_poll.rs");
+    let hits = check_file("crates/abr-serve/src/fixture.rs", src);
+    let r8: Vec<_> = hits.iter().filter(|v| v.rule == "R8").collect();
+    assert_eq!(r8.len(), 1, "{hits:?}");
+    assert!(
+        r8[0].message.contains("sys_poll::wait("),
+        "{}",
+        r8[0].message
+    );
+    let lock_line = src
+        .lines()
+        .position(|l| l.contains("pub fn held_across_wait"))
+        .unwrap();
+    assert!(r8[0].line > lock_line && r8[0].line < lock_line + 4);
+}
+
+#[test]
 fn r9_flags_only_unguarded_narrowing_casts_in_watched_files() {
     let src = include_str!("fixtures/r9_casts.rs");
     let hits = check_file("crates/abr-serve/src/protocol.rs", src);

@@ -21,11 +21,12 @@
 //!   capacity-bounded admission with idle eviction and a stateless RBA
 //!   graceful-degradation fallback.
 //! * [`server`] — the TCP front end: the frame core, served by the
-//!   poll-based non-blocking [`reactor`] (a few threads multiplexing whole
+//!   readiness-driven non-blocking [`reactor`] (a few threads multiplexing whole
 //!   fleets of nonblocking connections), with clean frame-level shutdown.
 //! * [`reactor`] — the readiness-sweep event loop behind
 //!   [`server::BoundServer::serve`]: per-connection read/write buffers,
-//!   incremental frame decode, batched responses, doze-tick deadlines.
+//!   incremental frame decode, batched responses, an idle wait in
+//!   `poll(2)`, and deadlines counted in ticks of a sleeping clock thread.
 //! * [`loadgen`] — the deterministic fleet load generator: N simulated
 //!   players from `abr-sim` driven over real sockets with a seeded arrival
 //!   process, checking **decision parity** against same-seed in-process runs.

@@ -1,56 +1,71 @@
-//! The poll-based non-blocking reactor: the server's connection core (see
-//! [`BoundServer::serve`](crate::server::BoundServer::serve)).
+//! The readiness-driven non-blocking reactor: the server's connection
+//! core (see [`BoundServer::serve`](crate::server::BoundServer::serve)).
 //!
-//! `std`-only: there is no `epoll`/`kqueue` in the standard library, so
-//! readiness is discovered by **sweeping** — every serving thread owns a
-//! set of `set_nonblocking` connections and repeatedly pumps each one:
-//! flush whatever response bytes are still buffered, read whatever the
-//! kernel has, decode complete frames incrementally out of the read
-//! buffer, hand each to the `Server::handle_frame` core (which appends
-//! encoded responses to the write buffer), then flush once. A wakeup that
-//! finds ten pipelined `Decide` frames answers all ten with **one** read
-//! and **one** write syscall — that batching, not parallelism, is where
-//! the throughput comes from, and it is why one reactor thread holds 100k+
-//! sessions over any number of connections.
+//! Every serving thread owns a set of `set_nonblocking` connections and
+//! **sweeps** them: for each, flush whatever response bytes are still
+//! buffered, read whatever the kernel has, decode complete frames
+//! incrementally out of the read buffer, hand each to the
+//! `Server::handle_frame` core (which appends encoded responses to the
+//! write buffer), then flush once. A wakeup that finds ten pipelined
+//! `Decide` frames answers all ten with **one** read and **one** write
+//! syscall — that batching, not parallelism, is where the throughput comes
+//! from, and it is why one reactor thread holds 100k+ sessions over any
+//! number of connections.
 //!
-//! When a full sweep makes no progress the thread yields a few times
-//! (another runnable thread — usually the client that owes us bytes — gets
-//! the core), then **dozes** one [`poll_ms`](crate::server::ServerConfig)
-//! sleep. Dozes are the reactor's only time source (lint R1: no wall
-//! clock): each doze charges one *poll tick* to every connection that made
-//! no progress, and a connection idle past
-//! `read_deadline_ms / poll_ms` ticks — or unable to flush for
+//! When a full sweep makes no progress the thread **waits in `poll(2)`**
+//! ([`sys_poll::wait`]) on the listener and on every connection it owns,
+//! each with the interest it declares: [`sys_poll::READ`] while it still
+//! reads (not draining, no EOF, unflushed bytes under the soft cap) and
+//! [`sys_poll::WRITE`] while it has unflushed bytes. A request, a drained
+//! peer, a new connection or a hang-up wakes the thread at once; the wait
+//! times out after [`poll_ms`](crate::server::ServerConfig). A wait that
+//! times out shows nothing is ready, so the thread skips the next sweep's
+//! `accept` and reads and only checks deadlines before waiting again.
+//!
+//! **Deadlines.** The reactor reads no clock (lint R1). Elapsed time is
+//! a shared *tick* count that the thread which called `serve` advances by
+//! one every [`poll_ms`](crate::server::ServerConfig), sleeping in between
+//! (a timed channel wait that also ends when the last reactor thread
+//! exits). Each connection stamps the tick of its last inbound byte and
+//! of the last moment its write buffer was empty or made progress; a
+//! reactor thread compares those stamps with the tick count on every
+//! sweep that sees it advance. A connection silent for more than
+//! `read_deadline_ms / poll_ms` ticks — or unable to flush for more than
 //! `write_deadline_ms / poll_ms` ticks — is **reaped**: counted, sent a
-//! best-effort [`Frame::Error`] timeout notice, dropped. Busy sweeps never charge
-//! ticks: a server at full throughput is by definition making progress,
-//! and its deadline clock only starts once it goes idle.
+//! best-effort [`Frame::Error`] timeout notice, dropped. "More than" makes
+//! the deadline a floor: a stamp may fall just before a tick, so a peer is
+//! reaped between one deadline and one deadline plus two `poll_ms` (a tick
+//! plus the wait that notices it) after its last byte. Because ticks come
+//! from their own thread, nothing a reactor thread is woken by — a busy
+//! sibling connection, a new connection on the listener all threads share,
+//! a flood — holds any connection's deadline clock.
 //!
 //! Backpressure is per connection and write-interest-driven: while a
 //! connection's unflushed responses exceed a soft cap the reactor stops
-//! *reading* from it, so a peer that stops draining throttles only itself.
+//! *reading* from it (and stops waiting for it to become readable), so a
+//! peer that stops draining throttles only itself, and the moment it
+//! drains its write readiness wakes the thread to flush more.
 //! Shutdown follows the shared protocol: once `Shutdown` latches the flag,
 //! accepting stops, every connection drains its buffered responses and
-//! EOFs, and `serve` joins all threads — no wake-up dial needed, the
-//! accept loop is nonblocking.
+//! EOFs, and `serve` joins all threads — no wake-up dial needed: a thread
+//! waiting in `poll` sees the flag within one `poll_ms`, and the tick
+//! thread stops the moment the last reactor thread exits.
 //!
-//! Locks are never held across socket I/O in this module (lint R8): all
-//! store locking happens inside `handle_frame`, which only touches memory
-//! buffers.
+//! Locks are never held across socket I/O or the wait in this module
+//! (lint R8): all store locking happens inside `handle_frame`, which only
+//! touches memory buffers.
 
 use crate::protocol::{decode_frame, Frame, StatsSnapshot, WireError, MAX_FRAME_LEN};
 use crate::server::Server;
+use std::convert::Infallible;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-
-/// Consecutive empty sweeps a reactor thread yields before it dozes one
-/// poll interval. Yielding first keeps request latency at
-/// scheduler-quantum scale while the fleet is active; dozing only kicks in
-/// once the thread is genuinely idle.
-const YIELD_SWEEPS: u32 = 200;
+use sys_poll::PollFd;
 
 /// Soft cap on buffered-but-unflushed response bytes per connection;
 /// above it the reactor stops reading new requests from that connection
@@ -85,10 +100,10 @@ struct Conn {
     wbuf: Vec<u8>,
     wpos: usize,
     phase: Phase,
-    /// Poll ticks (dozes) since the last inbound byte.
-    idle_ticks: u64,
-    /// Poll ticks the write buffer has been stuck non-empty.
-    write_stalled_ticks: u64,
+    /// Tick of the last inbound byte (or of the accept).
+    input_tick: u64,
+    /// Tick at which the write buffer was last empty or made progress.
+    output_tick: u64,
     /// Peer sent EOF; finish buffered work, then close.
     saw_eof: bool,
 }
@@ -102,7 +117,7 @@ enum Pump {
 }
 
 impl Conn {
-    fn new(id: u64, stream: TcpStream) -> Conn {
+    fn new(id: u64, stream: TcpStream, now: u64) -> Conn {
         Conn {
             id,
             stream,
@@ -111,8 +126,8 @@ impl Conn {
             wbuf: Vec::with_capacity(4096),
             wpos: 0,
             phase: Phase::AwaitHello,
-            idle_ticks: 0,
-            write_stalled_ticks: 0,
+            input_tick: now,
+            output_tick: now,
             saw_eof: false,
         }
     }
@@ -121,17 +136,41 @@ impl Conn {
         self.wbuf.len() - self.wpos
     }
 
+    /// Whether a sweep reads from this connection: not closing, no EOF
+    /// yet, and the peer is draining its responses (write-interest
+    /// backpressure).
+    fn reading(&self) -> bool {
+        !matches!(self.phase, Phase::Draining)
+            && !self.saw_eof
+            && self.pending_write() < WBUF_SOFT_CAP
+    }
+
+    /// What an idle wait should wake this connection for: input while it
+    /// reads, output room while responses are unflushed. Every live
+    /// connection wants at least one (a draining or EOF connection with
+    /// nothing to flush is already dead), and hang-ups wake it regardless.
+    fn poll_fd(&self) -> PollFd {
+        let mut interest = 0;
+        if self.reading() {
+            interest |= sys_poll::READ;
+        }
+        if self.pending_write() > 0 {
+            interest |= sys_poll::WRITE;
+        }
+        PollFd::new(&self.stream, interest)
+    }
+
     /// Push buffered response bytes into the kernel until it refuses.
     /// `Err(())` is a fatal transport error (peer reset): the connection
     /// is unusable, counters untouched — a hangup is not a protocol error.
     // abr-lint: hot-path
-    fn flush(&mut self, progress: &mut bool) -> Result<(), ()> {
+    fn flush(&mut self, now: u64, progress: &mut bool) -> Result<(), ()> {
         while self.wpos < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => return Err(()),
                 Ok(n) => {
                     self.wpos += n;
-                    self.write_stalled_ticks = 0;
+                    self.output_tick = now;
                     *progress = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -142,6 +181,7 @@ impl Conn {
         if self.wpos == self.wbuf.len() {
             self.wbuf.clear();
             self.wpos = 0;
+            self.output_tick = now;
         }
         Ok(())
     }
@@ -150,7 +190,7 @@ impl Conn {
     /// error to be reported like a wire error; EOF sets `saw_eof` instead
     /// of erroring so already-buffered frames still run.
     // abr-lint: hot-path
-    fn fill(&mut self, scratch: &mut [u8], progress: &mut bool) -> Result<(), WireError> {
+    fn fill(&mut self, scratch: &mut [u8], now: u64, progress: &mut bool) -> Result<(), WireError> {
         loop {
             match self.stream.read(scratch) {
                 Ok(0) => {
@@ -159,7 +199,7 @@ impl Conn {
                 }
                 Ok(n) => {
                     self.rbuf.extend_from_slice(&scratch[..n]);
-                    self.idle_ticks = 0;
+                    self.input_tick = now;
                     *progress = true;
                     // Don't let one firehose peer starve the sweep.
                     if self.rbuf.len() - self.rpos >= READ_CHUNK * 4 {
@@ -297,23 +337,21 @@ impl Conn {
         self.phase = Phase::Draining;
     }
 
-    /// One full service pass: flush, read, decode+handle, flush.
+    /// One full service pass at tick `now`: flush, read, decode+handle,
+    /// flush.
     // abr-lint: hot-path
-    fn pump(&mut self, server: &Server, scratch: &mut [u8]) -> Pump {
+    fn pump(&mut self, server: &Server, scratch: &mut [u8], now: u64) -> Pump {
         let mut progress = false;
-        if self.flush(&mut progress).is_err() {
+        if self.flush(now, &mut progress).is_err() {
             return Pump::Dead;
         }
-        let reading = !matches!(self.phase, Phase::Draining)
-            && !self.saw_eof
-            && self.pending_write() < WBUF_SOFT_CAP;
-        if reading {
-            if let Err(e) = self.fill(scratch, &mut progress) {
+        if self.reading() {
+            if let Err(e) = self.fill(scratch, now, &mut progress) {
                 self.wire_error(server, &e);
             }
         }
         self.drain_frames(server, &mut progress);
-        if self.flush(&mut progress).is_err() {
+        if self.flush(now, &mut progress).is_err() {
             return Pump::Dead;
         }
         if matches!(self.phase, Phase::Draining) {
@@ -328,57 +366,53 @@ impl Conn {
             // reader classifies it; EOF at a frame boundary is clean.
             if self.rbuf.len() > self.rpos {
                 self.wire_error(server, &WireError::Truncated);
-                let _ = self.flush(&mut progress);
+                let _ = self.flush(now, &mut progress);
             }
             return Pump::Dead;
         }
         Pump::Alive(progress)
     }
 
-    /// Charge one doze tick. Returns `false` when a deadline tripped and
-    /// the connection should be reaped.
-    fn on_doze(&mut self, server: &Server, read_slots: u64, write_slots: u64) -> bool {
-        if matches!(self.phase, Phase::Draining) {
-            // Already closing: only the write deadline applies.
-            if self.pending_write() > 0 {
-                self.write_stalled_ticks += 1;
-                if self.write_stalled_ticks >= write_slots {
-                    server
-                        .counters
-                        .connections_reaped
-                        .fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-            }
-            return true;
-        }
-        self.idle_ticks += 1;
-        if self.pending_write() > 0 {
-            self.write_stalled_ticks += 1;
-        }
-        if self.write_stalled_ticks >= write_slots {
+    /// Check both deadlines at tick `now`. `None`: nothing tripped.
+    /// `Some(true)`: the read deadline tripped, so a timeout notice is
+    /// queued and the connection drains. `Some(false)`: the write deadline
+    /// tripped, so the connection cannot even take a notice and should be
+    /// dropped.
+    fn expire(
+        &mut self,
+        server: &Server,
+        now: u64,
+        read_slots: u64,
+        write_slots: u64,
+    ) -> Option<bool> {
+        if self.pending_write() > 0 && now - self.output_tick > write_slots {
             server
                 .counters
                 .connections_reaped
                 .fetch_add(1, Ordering::Relaxed);
-            return false;
+            return Some(false);
         }
-        if self.idle_ticks >= read_slots {
-            // Reap: count it, queue a best-effort timeout notice, drain,
-            // drop.
-            server
-                .counters
-                .connections_reaped
-                .fetch_add(1, Ordering::Relaxed);
-            let _ = server.send(self.id, &mut self.wbuf, &Server::reap_frame());
-            self.phase = Phase::Draining;
+        // Already closing: only the write deadline applies.
+        if matches!(self.phase, Phase::Draining) || now - self.input_tick <= read_slots {
+            return None;
         }
-        true
+        // Reap: count it, queue a best-effort timeout notice, drain, drop.
+        server
+            .counters
+            .connections_reaped
+            .fetch_add(1, Ordering::Relaxed);
+        if self.pending_write() == 0 {
+            // Empty until now: the notice gets a full write deadline.
+            self.output_tick = now;
+        }
+        let _ = server.send(self.id, &mut self.wbuf, &Server::reap_frame());
+        self.phase = Phase::Draining;
+        Some(true)
     }
 }
 
-/// Per-connection deadline quantization: how many poll ticks a deadline
-/// spans, `u64::MAX` when disabled.
+/// Per-connection deadline quantization: how many ticks a deadline spans,
+/// `u64::MAX` when disabled.
 fn slots(deadline_ms: u64, poll_ms: u64) -> u64 {
     if deadline_ms == 0 {
         u64::MAX
@@ -389,8 +423,8 @@ fn slots(deadline_ms: u64, poll_ms: u64) -> u64 {
 
 /// Run the reactor until a `Shutdown` frame arrives and every connection
 /// drains, then return the final counter snapshot. Spawns
-/// `config.threads` sweeping threads inside a scope; all are joined
-/// before returning.
+/// `config.threads` sweeping threads inside a scope and advances their
+/// deadline clock from the calling thread until all of them have exited.
 pub(crate) fn serve(server: Arc<Server>, listener: TcpListener) -> StatsSnapshot {
     if listener.set_nonblocking(true).is_err() {
         server
@@ -399,32 +433,62 @@ pub(crate) fn serve(server: Arc<Server>, listener: TcpListener) -> StatsSnapshot
             .fetch_add(1, Ordering::Relaxed);
     }
     let conn_seq = AtomicU64::new(0);
+    let clock = AtomicU64::new(0);
     let threads = server.config.threads.max(1);
+    let tick = Duration::from_millis(server.config.poll_ms.max(1));
     let service: &Server = &server;
+    // Nothing is ever sent: each reactor thread holds a sender, and the
+    // receiver's timed wait ends early only once every one has dropped.
+    let (alive, all_exited) = mpsc::channel::<Infallible>();
     thread::scope(|scope| {
         for _ in 0..threads {
-            let conn_seq = &conn_seq;
-            let listener = &listener;
-            scope.spawn(move || reactor_thread(service, listener, conn_seq));
+            let (conn_seq, clock, listener) = (&conn_seq, &clock, &listener);
+            let alive = alive.clone();
+            scope.spawn(move || {
+                reactor_thread(service, listener, conn_seq, clock);
+                drop(alive);
+            });
+        }
+        drop(alive);
+        while let Err(RecvTimeoutError::Timeout) = all_exited.recv_timeout(tick) {
+            clock.fetch_add(1, Ordering::Relaxed);
         }
     });
     server.stats()
 }
 
-/// One sweeping thread: accept, pump every owned connection, retire the
-/// dead, doze when idle.
-fn reactor_thread(server: &Server, listener: &TcpListener, conn_seq: &AtomicU64) {
+/// One sweeping thread: accept, pump every owned connection, reap the
+/// expired whenever the `clock` has ticked, wait in `poll` when idle and
+/// skip the next sweep when that wait times out.
+fn reactor_thread(
+    server: &Server,
+    listener: &TcpListener,
+    conn_seq: &AtomicU64,
+    clock: &AtomicU64,
+) {
     let poll_ms = server.config.poll_ms.max(1);
-    let doze = Duration::from_millis(poll_ms);
     let read_slots = slots(server.config.read_deadline_ms, poll_ms);
     let write_slots = slots(server.config.write_deadline_ms, poll_ms);
     let mut conns: Vec<Conn> = Vec::new();
+    // The idle wait's descriptor set: the listener plus one entry per
+    // connection, refilled on every wait. It grows only on accept, so a
+    // wait never allocates.
+    let mut waiting: Vec<PollFd> = Vec::with_capacity(1);
     let mut scratch = vec![0u8; READ_CHUNK];
-    let mut idle_sweeps: u32 = 0;
+    let mut checked = 0;
+    let mut timed_out = false;
     loop {
+        // After a wait that timed out nothing this thread owns is ready,
+        // so accepting and pumping would only collect `WouldBlock`s.
+        let sweep = !std::mem::replace(&mut timed_out, false);
+        let now = clock.load(Ordering::Relaxed);
         let mut progress = false;
         let shutting_down = server.shutdown_requested();
-        if !shutting_down {
+        // A hard accept error (say, out of descriptors) leaves the
+        // listener readable; it sits out the next wait so the thread
+        // sleeps instead of spinning while deadlines free descriptors.
+        let mut accept_failed = false;
+        if sweep && !shutting_down {
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
@@ -445,17 +509,21 @@ fn reactor_thread(server: &Server, listener: &TcpListener, conn_seq: &AtomicU64)
                         };
                         note(stream.set_nodelay(true));
                         note(stream.set_nonblocking(true));
-                        conns.push(Conn::new(id, stream));
+                        conns.push(Conn::new(id, stream, now));
+                        waiting.reserve((conns.len() + 1).saturating_sub(waiting.len()));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
+                    Err(_) => {
+                        accept_failed = true;
+                        break;
+                    }
                 }
             }
         }
         let mut i = 0;
-        while i < conns.len() {
-            match conns[i].pump(server, &mut scratch) {
+        while sweep && i < conns.len() {
+            match conns[i].pump(server, &mut scratch, now) {
                 Pump::Alive(p) => {
                     progress |= p;
                     i += 1;
@@ -467,29 +535,44 @@ fn reactor_thread(server: &Server, listener: &TcpListener, conn_seq: &AtomicU64)
                 }
             }
         }
+        if now != checked {
+            checked = now;
+            let mut i = 0;
+            while i < conns.len() {
+                match conns[i].expire(server, now, read_slots, write_slots) {
+                    None => i += 1,
+                    Some(notice_queued) => {
+                        // A queued notice needs a sweep to flush it.
+                        progress = true;
+                        if notice_queued {
+                            i += 1;
+                        } else {
+                            let conn = conns.swap_remove(i);
+                            server.drop_connection(conn.id);
+                        }
+                    }
+                }
+            }
+        }
         if shutting_down && conns.is_empty() {
             break;
         }
         if progress {
-            idle_sweeps = 0;
             continue;
         }
-        idle_sweeps = idle_sweeps.saturating_add(1);
-        if idle_sweeps < YIELD_SWEEPS {
-            thread::yield_now();
-            continue;
+        // Idle: wait until something this thread owns is ready, or one
+        // poll interval passes so a tick and the shutdown flag are seen.
+        waiting.clear();
+        if !shutting_down && !accept_failed {
+            waiting.push(PollFd::new(listener, sys_poll::READ));
         }
-        // Genuinely idle: doze one poll interval and charge deadline
-        // ticks. The sleep is the only elapsed-time source here.
-        thread::sleep(doze);
-        let mut i = 0;
-        while i < conns.len() {
-            if conns[i].on_doze(server, read_slots, write_slots) {
-                i += 1;
-            } else {
-                let conn = conns.swap_remove(i);
-                server.drop_connection(conn.id);
-            }
+        waiting.extend(conns.iter().map(Conn::poll_fd));
+        match sys_poll::wait(&mut waiting, poll_ms) {
+            Ok(ready) => timed_out = ready == 0,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // `poll` itself failed (it should not on descriptors we own):
+            // sleep out the interval instead of spinning.
+            Err(_) => thread::sleep(Duration::from_millis(poll_ms)),
         }
     }
 }

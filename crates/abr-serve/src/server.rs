@@ -4,12 +4,13 @@
 //! session store, the counters, and the **frame core**:
 //! `Server::handle_frame` consumes one decoded [`Frame`] and appends the
 //! encoded response(s) to an out-buffer. It performs **no socket I/O** and
-//! holds no lock across any; [`BoundServer::serve`] runs the poll-based
-//! non-blocking reactor in [`crate::reactor`] around it. Each reactor
-//! thread multiplexes many `set_nonblocking` connections with
+//! holds no lock across any; [`BoundServer::serve`] runs the
+//! readiness-driven non-blocking reactor in [`crate::reactor`] around it.
+//! Each reactor thread multiplexes many `set_nonblocking` connections with
 //! per-connection read/write buffers, incremental frame decode,
-//! write-interest-driven flushing and doze-tick deadline accounting. One
-//! wakeup batches every decision that is ready before flushing responses.
+//! write-interest-driven flushing, and an idle wait in `poll(2)` whose
+//! timeouts drive deadline accounting. One wakeup batches every decision
+//! that is ready before flushing responses.
 //!
 //! Connection protocol: handshake first (`Hello` → `HelloOk`,
 //! version-checked), then frames. Application errors (unknown video,
@@ -23,9 +24,11 @@
 //! **No thread blocks indefinitely on a peer.** Every connection gets a
 //! read deadline and a write deadline ([`ServerConfig::read_deadline_ms`],
 //! [`ServerConfig::write_deadline_ms`], env-tunable), quantized to
-//! [`ServerConfig::poll_ms`]: the reactor counts idle doze ticks and never
-//! reads a wall clock (lint R1) — the kernel's sleep is the only time
-//! source. A client silent past the deadline is **reaped**: counted in
+//! [`ServerConfig::poll_ms`]: the thread that calls `serve` sleeps
+//! `poll_ms` between ticks of a shared counter, the reactor waits idle in
+//! `poll(2)` at most `poll_ms`, and it never reads a wall clock (lint R1)
+//! — the sleep is the only time source. A client silent past the deadline
+//! is **reaped**: counted in
 //! [`StatsSnapshot::connections_reaped`], sent a best-effort
 //! [`ErrorCode::Timeout`], and dropped.
 //!
@@ -54,7 +57,8 @@ pub const READ_DEADLINE_ENV: &str = "ABR_SERVE_READ_DEADLINE_MS";
 /// Environment variable overriding the per-connection write deadline (ms).
 pub const WRITE_DEADLINE_ENV: &str = "ABR_SERVE_WRITE_DEADLINE_MS";
 
-/// Environment variable overriding the read-deadline poll interval (ms).
+/// Environment variable overriding the reactor's idle wait timeout and
+/// deadline quantum (ms).
 pub const POLL_ENV: &str = "ABR_SERVE_POLL_MS";
 
 /// Default read deadline when [`READ_DEADLINE_ENV`] is unset. Generous on
@@ -65,7 +69,7 @@ pub const DEFAULT_READ_DEADLINE_MS: u64 = 120_000;
 /// Default write deadline when [`WRITE_DEADLINE_ENV`] is unset.
 pub const DEFAULT_WRITE_DEADLINE_MS: u64 = 30_000;
 
-/// Default poll interval when [`POLL_ENV`] is unset.
+/// Default idle wait timeout when [`POLL_ENV`] is unset.
 pub const DEFAULT_POLL_MS: u64 = 20;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -97,7 +101,7 @@ pub fn write_deadline_from_env() -> u64 {
     env_u64(WRITE_DEADLINE_ENV, DEFAULT_WRITE_DEADLINE_MS)
 }
 
-/// Poll interval (ms): [`POLL_ENV`] if set and parseable, else
+/// Idle wait timeout (ms): [`POLL_ENV`] if set and parseable, else
 /// [`DEFAULT_POLL_MS`], floored at 1.
 pub fn poll_ms_from_env() -> u64 {
     env_u64(POLL_ENV, DEFAULT_POLL_MS).max(1)
@@ -135,8 +139,11 @@ pub struct ServerConfig {
     /// make progress for this long (peer stopped draining) fails and the
     /// connection is reaped. `0` disables it.
     pub write_deadline_ms: u64,
-    /// Kernel poll interval (ms) the read deadline is quantized to; the
-    /// only time source the deadline machinery uses. Floored at 1.
+    /// Idle wait timeout and deadline quantum (ms): a reactor thread with
+    /// nothing to do blocks in `poll(2)` at most this long, and both
+    /// deadlines count ticks of this length, which the thread that called
+    /// `serve` produces by sleeping — the only time source the deadline
+    /// machinery uses. Floored at 1.
     pub poll_ms: u64,
     /// Session-store sizing.
     pub store: StoreConfig,

@@ -6,14 +6,18 @@
 
 use abr_serve::loadgen;
 use abr_serve::protocol::{
-    read_frame, write_frame, ErrorCode, Frame, StatsSnapshot, PROTOCOL_VERSION,
+    decode_frame, encode_frame, read_frame, write_frame, ErrorCode, Frame, StatsSnapshot,
+    PROTOCOL_VERSION,
 };
 use abr_serve::store::{dataset_provider, StoreConfig};
 use abr_serve::{Server, ServerConfig};
 use abr_sim::DecisionRequest;
-use std::io::Write;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 struct TestServer {
     addr: SocketAddr,
@@ -476,4 +480,343 @@ fn an_orphaned_session_survives_reconnect_and_resumes() {
     assert_eq!(stats.sessions_closed, 1);
     assert_eq!(stats.sessions_aborted, 0);
     assert_eq!(stats.open_sessions, 0);
+}
+
+/// One reactor thread whose idle wait times out only every 10 s: any
+/// reply that takes a sizeable fraction of that was held up by the wait,
+/// not by work, so these tests tell a readiness wake from a timeout.
+fn slow_poll_config() -> ServerConfig {
+    ServerConfig {
+        threads: 1,
+        poll_ms: 10_000,
+        ..small_config()
+    }
+}
+
+/// Pipeline `batch` (whole frames, repeated) on a nonblocking `stream`
+/// without reading a reply until the socket refuses more for 100 ms, and
+/// return the bytes written. The reactor reads everything it is sent until
+/// its unflushed replies pass its soft cap, so a send window that stays
+/// shut that long means the server has stopped reading: the kernel buffers
+/// are full of replies and the rest sit in its write buffer.
+fn pipeline_until_server_stops_reading(stream: &mut TcpStream, batch: &[u8]) -> usize {
+    stream.set_nonblocking(true).unwrap();
+    let mut written = 0usize;
+    let mut last_progress = Instant::now();
+    while last_progress.elapsed() < Duration::from_millis(100) {
+        match stream.write(&batch[written % batch.len()..]) {
+            Ok(n) => {
+                written += n;
+                last_progress = Instant::now();
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                thread::sleep(Duration::from_millis(1));
+            }
+            Err(e) => panic!("pipelining failed: {e}"),
+        }
+    }
+    written
+}
+
+/// Dial and hang up every `every` until the returned flag is set; the
+/// thread returns how many connections it made. Each dial makes the
+/// listener every reactor thread waits on readable.
+fn churn(addr: SocketAddr, every: Duration) -> (Arc<AtomicBool>, JoinHandle<u64>) {
+    let stop = Arc::new(AtomicBool::new(false));
+    let dialer = {
+        let stop = stop.clone();
+        thread::spawn(move || {
+            let mut dials = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                drop(TcpStream::connect(addr).unwrap());
+                dials += 1;
+                thread::sleep(every);
+            }
+            dials
+        })
+    };
+    (stop, dialer)
+}
+
+/// A handshaken client that then ships a bare length prefix and never the
+/// body (slow-loris shape).
+fn stalled_client(addr: SocketAddr) -> Client {
+    let mut stalled = Client::connect_and_hello(addr);
+    stalled.stream.write_all(&8u32.to_le_bytes()).unwrap();
+    stalled.stream.flush().unwrap();
+    stalled
+        .stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stalled
+}
+
+/// Wait for `stalled`'s timeout notice and return how long after `t0` it
+/// came; a reactor that let other traffic hold the peer's deadline clock
+/// leaves the read to its 10 s timeout, which fails here.
+fn await_reap_notice(stalled: &mut Client, t0: Instant) -> Duration {
+    let reply = read_frame(&mut stalled.stream);
+    let waited = t0.elapsed();
+    assert!(
+        matches!(
+            reply,
+            Ok(Frame::Error {
+                code: ErrorCode::Timeout,
+                ..
+            })
+        ),
+        "expected a timeout notice, got {reply:?} after {waited:?}"
+    );
+    waited
+}
+
+/// Open session `session_id` and return the `Decide` frame for its first
+/// chunk.
+fn open_for_decide(c: &mut Client, session_id: u64) -> Frame {
+    let Frame::OpenOk { n_chunks, .. } = c.open(session_id, "ED-youtube-h264", "cava") else {
+        panic!("open {session_id} failed");
+    };
+    Frame::Decide {
+        session_id,
+        request: first_request(n_chunks as usize),
+    }
+}
+
+#[test]
+fn a_request_wakes_a_reactor_blocked_in_its_idle_wait() {
+    let server = spawn(slow_poll_config());
+    let mut c = Client::connect_and_hello(server.addr);
+    let decide = open_for_decide(&mut c, 1);
+    // Long enough for the thread to run out of work and block in its wait.
+    thread::sleep(Duration::from_millis(100));
+    let t0 = Instant::now();
+    let reply = c.call(&decide);
+    let waited = t0.elapsed();
+    assert!(matches!(reply, Frame::Decision { session_id: 1, .. }));
+    assert!(
+        waited < Duration::from_secs(1),
+        "a request to an idle reactor waited {waited:?} (poll_ms 10000)"
+    );
+    drop(c);
+    let stats = server.stop();
+    assert_eq!(stats.decisions, 1);
+}
+
+#[test]
+fn a_peer_draining_a_capped_write_buffer_wakes_the_reactor() {
+    // The reactor's soft cap on unflushed reply bytes per connection.
+    const WBUF_SOFT_CAP: usize = 256 * 1024;
+    let server = spawn(slow_poll_config());
+    let mut c = Client::connect_and_hello(server.addr);
+    let decide = encode_frame(&open_for_decide(&mut c, 1)).unwrap();
+    // Every Decide after the first is a retransmission of it, so every
+    // reply is byte-identical to the first one.
+    let batch = decide.repeat(1024);
+
+    let written = pipeline_until_server_stops_reading(&mut c.stream, &batch);
+    let frames = written.div_ceil(decide.len());
+    let start = written % batch.len();
+    let mut tail = &batch[start..start + (frames * decide.len() - written)];
+
+    // Drain every reply. Each read frees send room on the server, and only
+    // its write readiness (not a 10 s timeout) can get the reactor flushing
+    // and reading again.
+    let t0 = Instant::now();
+    let mut inbox: Vec<u8> = Vec::new();
+    let mut chunk = vec![0u8; 64 * 1024];
+    let mut reply: Option<Vec<u8>> = None;
+    let mut replies = 0usize;
+    let mut reply_bytes = 0usize;
+    while replies < frames {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "{replies} of {frames} replies after 30 s"
+        );
+        if !tail.is_empty() {
+            match c.stream.write(tail) {
+                Ok(n) => tail = &tail[n..],
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("finishing the last frame failed: {e}"),
+            }
+            if tail.is_empty() {
+                c.stream.set_nonblocking(false).unwrap();
+            }
+        }
+        match c.stream.read(&mut chunk) {
+            Ok(0) => panic!("server closed after {replies} of {frames} replies"),
+            Ok(n) => inbox.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::yield_now(),
+            Err(e) => panic!("draining failed: {e}"),
+        }
+        let mut at = 0;
+        while inbox.len() - at >= 4 {
+            let len = u32::from_le_bytes(inbox[at..at + 4].try_into().unwrap()) as usize;
+            if inbox.len() - at < 4 + len {
+                break;
+            }
+            let wire = &inbox[at..at + 4 + len];
+            match &reply {
+                Some(first) => assert_eq!(wire, &first[..], "reply {replies} differs"),
+                None => {
+                    let frame = decode_frame(&wire[4..]).unwrap();
+                    assert!(
+                        matches!(frame, Frame::Decision { session_id: 1, .. }),
+                        "{frame:?}"
+                    );
+                    reply = Some(wire.to_vec());
+                }
+            }
+            replies += 1;
+            reply_bytes += wire.len();
+            at += 4 + len;
+        }
+        inbox.drain(..at);
+    }
+    let drained = t0.elapsed();
+    assert!(
+        reply_bytes > WBUF_SOFT_CAP,
+        "only {reply_bytes} reply bytes: the write buffer never reached its cap"
+    );
+    assert!(
+        drained < Duration::from_secs(3),
+        "draining {frames} replies ({reply_bytes} bytes) took {drained:?} (poll_ms 10000)"
+    );
+    drop(c);
+    let stats = server.stop();
+    assert_eq!(stats.decisions, frames as u64);
+}
+
+#[test]
+fn a_stalled_client_is_reaped_while_a_sibling_on_its_thread_trickles_decisions() {
+    // Deadline ticks come from their own clock, so a sibling on the same
+    // reactor thread that wakes it — now and then, or faster than one
+    // poll interval — never holds the stalled peer's deadline.
+    const DEADLINE_MS: u64 = 200;
+    const POLL_MS: u64 = 20;
+    for every_ms in [3 * POLL_MS, POLL_MS / 2] {
+        let mut config = small_config();
+        config.threads = 1;
+        config.read_deadline_ms = DEADLINE_MS;
+        config.poll_ms = POLL_MS;
+        let server = spawn(config);
+
+        let mut sibling = Client::connect_and_hello(server.addr);
+        let decide = open_for_decide(&mut sibling, 1);
+        let mut stalled = stalled_client(server.addr);
+        let t0 = Instant::now();
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickle = {
+            let stop = stop.clone();
+            thread::spawn(move || {
+                let mut decisions = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    thread::sleep(Duration::from_millis(every_ms));
+                    let reply = sibling.call(&decide);
+                    assert!(matches!(reply, Frame::Decision { session_id: 1, .. }));
+                    decisions += 1;
+                }
+                decisions
+            })
+        };
+        let waited = await_reap_notice(&mut stalled, t0);
+        stop.store(true, Ordering::Relaxed);
+        let decisions = trickle.join().unwrap();
+        // The deadline is a floor; a tick and the wait that notices it
+        // add at most two poll intervals on top.
+        assert!(
+            waited >= Duration::from_millis(DEADLINE_MS),
+            "sibling every {every_ms} ms: reaped after {waited:?}"
+        );
+        assert!(
+            waited < Duration::from_millis(4 * DEADLINE_MS),
+            "sibling every {every_ms} ms: reaped after {waited:?}"
+        );
+        assert!(decisions >= 2, "sibling made only {decisions} decisions");
+        drop(stalled);
+        let stats = server.stop();
+        assert_eq!(stats.connections_reaped, 1);
+        assert_eq!(stats.decisions, decisions);
+    }
+}
+
+#[test]
+fn connection_churn_on_the_shared_listener_does_not_hold_a_read_deadline() {
+    // Two reactor threads both wait on the listener, and four stalled
+    // peers spread over them. A dial every quarter poll interval wakes
+    // whichever thread accepts it far more often than its wait could time
+    // out, so a deadline charged only by timed-out waits would never trip.
+    const DEADLINE_MS: u64 = 200;
+    const POLL_MS: u64 = 20;
+    let mut config = small_config();
+    config.threads = 2;
+    config.read_deadline_ms = DEADLINE_MS;
+    config.poll_ms = POLL_MS;
+    let server = spawn(config);
+
+    let mut stalled: Vec<Client> = (0..4).map(|_| stalled_client(server.addr)).collect();
+    let t0 = Instant::now();
+    let (stop, dialer) = churn(server.addr, Duration::from_millis(POLL_MS / 4));
+    let waited: Vec<Duration> = stalled
+        .iter_mut()
+        .map(|c| await_reap_notice(c, t0))
+        .collect();
+    stop.store(true, Ordering::Relaxed);
+    let dials = dialer.join().unwrap();
+    for w in &waited {
+        assert!(
+            *w >= Duration::from_millis(DEADLINE_MS) && *w < Duration::from_millis(4 * DEADLINE_MS),
+            "reaped after {waited:?}"
+        );
+    }
+    assert!(dials >= 10, "only {dials} dials");
+    drop(stalled);
+    let stats = server.stop();
+    assert_eq!(stats.connections_reaped, 4);
+}
+
+#[test]
+fn connection_churn_on_the_shared_listener_does_not_hold_a_write_deadline() {
+    // A peer that pipelines requests and never reads a reply: once the
+    // server stops reading it, only the write deadline can free it. The
+    // read deadline is off so nothing else reaps it.
+    const DEADLINE_MS: u64 = 300;
+    const POLL_MS: u64 = 20;
+    let mut config = small_config();
+    config.threads = 2;
+    config.read_deadline_ms = 0;
+    config.write_deadline_ms = DEADLINE_MS;
+    config.poll_ms = POLL_MS;
+    let server = spawn(config);
+
+    let (stop, dialer) = churn(server.addr, Duration::from_millis(POLL_MS / 4));
+    let mut clogged = Client::connect_and_hello(server.addr);
+    let decide = encode_frame(&open_for_decide(&mut clogged, 1)).unwrap();
+    pipeline_until_server_stops_reading(&mut clogged.stream, &decide.repeat(1024));
+    let t0 = Instant::now();
+    let mut reaped = loadgen::fetch_stats(server.addr)
+        .unwrap()
+        .connections_reaped;
+    while reaped == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "a peer that stopped draining was not reaped within 10 s"
+        );
+        thread::sleep(Duration::from_millis(5));
+        reaped = loadgen::fetch_stats(server.addr)
+            .unwrap()
+            .connections_reaped;
+    }
+    let waited = t0.elapsed();
+    stop.store(true, Ordering::Relaxed);
+    dialer.join().unwrap();
+    // The send window closed at most 100 ms before `t0`, and the server's
+    // flushes stalled no earlier than that.
+    assert!(
+        waited < Duration::from_millis(4 * DEADLINE_MS),
+        "reaped {waited:?} after the pipelining stopped"
+    );
+    drop(clogged);
+    let stats = server.stop();
+    assert_eq!(stats.connections_reaped, 1);
 }

@@ -11,8 +11,9 @@ pub struct Args {
 impl Args {
     /// Split `argv` into positionals and flags.
     ///
-    /// Returns an error on a flag without a value or a positional after a
-    /// flag (keeps the grammar unambiguous).
+    /// Returns an error on a flag without a value, a flag given twice, or a
+    /// positional after a flag (keeps the grammar unambiguous: a repeated
+    /// flag would otherwise silently keep only one of its values).
     pub fn parse(argv: &[String]) -> Result<Args, String> {
         let mut args = Args::default();
         let mut iter = argv.iter();
@@ -23,6 +24,9 @@ impl Args {
                 let value = iter
                     .next()
                     .ok_or_else(|| format!("flag --{key} needs a value"))?;
+                if args.flag(key).is_some() {
+                    return Err(format!("flag --{key} given more than once"));
+                }
                 args.flags.push((key.to_string(), value.clone()));
             } else {
                 if seen_flag {

@@ -291,6 +291,25 @@ fn loadgen_rejects_bad_arguments() {
 }
 
 #[test]
+fn repeated_flag_is_rejected_not_silently_first_wins() {
+    // Neither value may win silently: the command fails at parse time,
+    // before any dial, and names the flag.
+    let out = cava(&[
+        "loadgen",
+        "127.0.0.1:1",
+        "--sessions",
+        "12",
+        "--seed",
+        "3",
+        "--sessions",
+        "48",
+    ]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.contains("--sessions given more than once"), "{err}");
+}
+
+#[test]
 fn serve_and_loadgen_round_trip_over_loopback() {
     let dir = std::env::temp_dir().join("cava_cli_serve");
     std::fs::remove_dir_all(&dir).ok();
