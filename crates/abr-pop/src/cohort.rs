@@ -26,7 +26,9 @@ pub enum Device {
     Tv,
 }
 
-/// Access-network regime; selects the seeded trace generator.
+/// Access-network regime; selects the seeded trace generator. Also the
+/// catalog of trace corpora: each regime names its CLI kind, its CSV and
+/// journal label, its corpus base seed and its §6.1 QoE pairing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NetworkRegime {
     /// Cellular drive traces (the paper's LTE set).
@@ -40,6 +42,14 @@ pub enum NetworkRegime {
 }
 
 impl NetworkRegime {
+    /// Every regime, in declaration order.
+    pub const ALL: [NetworkRegime; 4] = [
+        NetworkRegime::Lte,
+        NetworkRegime::Fcc,
+        NetworkRegime::FiveG,
+        NetworkRegime::Satellite,
+    ];
+
     /// Stable lowercase name, used in cohort labels and CLI flags.
     pub fn name(&self) -> &'static str {
         match self {
@@ -47,6 +57,42 @@ impl NetworkRegime {
             NetworkRegime::Fcc => "fcc",
             NetworkRegime::FiveG => "5g",
             NetworkRegime::Satellite => "satellite",
+        }
+    }
+
+    /// The regime whose [`NetworkRegime::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<NetworkRegime> {
+        NetworkRegime::ALL.into_iter().find(|r| r.name() == name)
+    }
+
+    /// Corpus label used in CSVs and run journals.
+    pub fn label(&self) -> &'static str {
+        match self {
+            NetworkRegime::Lte => "LTE",
+            NetworkRegime::Fcc => "FCC",
+            NetworkRegime::FiveG => "5G",
+            NetworkRegime::Satellite => "SAT",
+        }
+    }
+
+    /// The fixed base seed of this regime's evaluation corpus.
+    pub fn corpus_seed(&self) -> u64 {
+        match self {
+            NetworkRegime::Lte => 42,
+            NetworkRegime::Fcc => 4242,
+            NetworkRegime::FiveG => 424_242,
+            NetworkRegime::Satellite => 42_424_242,
+        }
+    }
+
+    /// The QoE configuration a corpus of this regime is scored with: the
+    /// cellular regimes (LTE, 5G) use the phone VMAF model as in §6.1, the
+    /// fixed-line regimes (FCC, satellite) the TV model. Population cohorts
+    /// pick theirs by device instead ([`Cohort::qoe_config`]).
+    pub fn corpus_qoe(&self) -> QoeConfig {
+        match self {
+            NetworkRegime::Lte | NetworkRegime::FiveG => QoeConfig::lte(),
+            NetworkRegime::Fcc | NetworkRegime::Satellite => QoeConfig::fcc(),
         }
     }
 
@@ -59,6 +105,14 @@ impl NetworkRegime {
             NetworkRegime::FiveG => fiveg_trace(seed, &FiveGConfig::default()),
             NetworkRegime::Satellite => satellite_trace(seed, &SatelliteConfig::default()),
         }
+    }
+
+    /// `count` traces with consecutive seeds from `base_seed`: the same
+    /// corpus the matching `net_trace::*_traces` generator returns.
+    pub fn corpus(&self, count: usize, base_seed: u64) -> Vec<Trace> {
+        (0..count)
+            .map(|i| self.trace(base_seed.wrapping_add(i as u64)))
+            .collect()
     }
 }
 
@@ -121,12 +175,7 @@ impl Cohort {
     pub fn all() -> Vec<Cohort> {
         let mut out = Vec::with_capacity(16);
         for device in [Device::Phone, Device::Tv] {
-            for network in [
-                NetworkRegime::Lte,
-                NetworkRegime::Fcc,
-                NetworkRegime::FiveG,
-                NetworkRegime::Satellite,
-            ] {
+            for network in NetworkRegime::ALL {
                 for live in [false, true] {
                     out.push(Cohort {
                         device,
@@ -205,12 +254,7 @@ impl MixConfig {
             }
             x -= w;
         }
-        let network = [
-            NetworkRegime::Lte,
-            NetworkRegime::Fcc,
-            NetworkRegime::FiveG,
-            NetworkRegime::Satellite,
-        ][picked];
+        let network = NetworkRegime::ALL[picked];
         let live = rng.gen::<f64>() < self.live_fraction;
         Cohort {
             device,
@@ -295,20 +339,50 @@ mod tests {
     #[test]
     fn regimes_generate_distinct_traces() {
         let seeds = 7u64;
-        let traces: Vec<Trace> = [
-            NetworkRegime::Lte,
-            NetworkRegime::Fcc,
-            NetworkRegime::FiveG,
-            NetworkRegime::Satellite,
-        ]
-        .iter()
-        .map(|r| r.trace(seeds))
-        .collect();
+        let traces: Vec<Trace> = NetworkRegime::ALL.iter().map(|r| r.trace(seeds)).collect();
         for i in 0..traces.len() {
             for j in i + 1..traces.len() {
                 assert_ne!(traces[i].samples(), traces[j].samples());
             }
         }
+    }
+
+    #[test]
+    fn corpus_matches_the_net_trace_generators() {
+        use net_trace::{fcc, fiveg, lte, satellite};
+        let (n, seed) = (3, 17);
+        for regime in NetworkRegime::ALL {
+            let expected = match regime {
+                NetworkRegime::Lte => lte::lte_traces(n, seed, &Default::default()),
+                NetworkRegime::Fcc => fcc::fcc_traces(n, seed, &Default::default()),
+                NetworkRegime::FiveG => fiveg::fiveg_traces(n, seed, &Default::default()),
+                NetworkRegime::Satellite => {
+                    satellite::satellite_traces(n, seed, &Default::default())
+                }
+            };
+            let corpus = regime.corpus(n, seed);
+            assert_eq!(corpus.len(), n);
+            assert_eq!(corpus, expected, "{regime:?}");
+        }
+    }
+
+    #[test]
+    fn regime_names_labels_and_seeds_are_distinct() {
+        fn distinct<T: Ord>(mut v: Vec<T>) -> usize {
+            v.sort_unstable();
+            v.dedup();
+            v.len()
+        }
+        let all = NetworkRegime::ALL;
+        assert_eq!(distinct(all.map(|r| r.name()).to_vec()), all.len());
+        assert_eq!(distinct(all.map(|r| r.label()).to_vec()), all.len());
+        assert_eq!(distinct(all.map(|r| r.corpus_seed()).to_vec()), all.len());
+        for regime in all {
+            assert_eq!(NetworkRegime::from_name(regime.name()), Some(regime));
+        }
+        assert_eq!(NetworkRegime::from_name("dsl"), None);
+        assert_eq!(NetworkRegime::Lte.corpus_seed(), 42);
+        assert_eq!(NetworkRegime::Fcc.corpus_seed(), 4242);
     }
 
     #[test]

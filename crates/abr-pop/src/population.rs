@@ -258,13 +258,10 @@ mod tests {
             if s.cohort.device == crate::cohort::Device::Phone {
                 phone += 1;
             }
-            let ni = match s.cohort.network {
-                NetworkRegime::Lte => 0,
-                NetworkRegime::Fcc => 1,
-                NetworkRegime::FiveG => 2,
-                NetworkRegime::Satellite => 3,
-            };
-            by_network[ni] += 1;
+            let ni = NetworkRegime::ALL
+                .iter()
+                .position(|&r| r == s.cohort.network);
+            by_network[ni.unwrap()] += 1;
             if s.cohort.live {
                 live += 1;
             }

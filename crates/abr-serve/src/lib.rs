@@ -14,8 +14,8 @@
 //! * [`protocol`] — the versioned, length-prefixed binary wire protocol:
 //!   explicit little-endian encode/decode, typed [`protocol::WireError`]s,
 //!   no ambient serialization.
-//! * [`scheme`] — the scheme registry ([`scheme::build_scheme`],
-//!   [`scheme::SCHEME_NAMES`]) and dataset loader shared with the CLI.
+//! * [`scheme`] — the scheme catalog ([`scheme::SchemeKind`]) and the
+//!   dataset video loader, shared with the CLI and the experiments.
 //! * [`store`] — the multi-tenant session store: per-session boxed
 //!   [`abr_sim::AbrAlgorithm`] state, shared manifest handles,
 //!   capacity-bounded admission with idle eviction and a stateless RBA

@@ -500,7 +500,7 @@ pub fn plan(config: &LoadgenConfig) -> Result<Vec<SessionPlan>, LoadgenError> {
         }
     }
     for name in &config.schemes {
-        if !scheme::is_known_scheme(name) {
+        if scheme::SchemeKind::from_wire(name).is_none() {
             return Err(LoadgenError::BadConfig(format!("unknown scheme {name:?}")));
         }
     }

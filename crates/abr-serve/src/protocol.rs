@@ -44,7 +44,7 @@ pub enum ErrorCode {
     UnknownVersion,
     /// `OpenSession` named a video the provider cannot resolve.
     UnknownVideo,
-    /// `OpenSession` named a scheme outside [`crate::scheme::SCHEME_NAMES`].
+    /// `OpenSession` named no [`crate::scheme::SchemeKind`] wire name.
     UnknownScheme,
     /// A frame referenced a session id the store does not hold.
     UnknownSession,
@@ -158,7 +158,7 @@ pub enum Frame {
         session_id: u64,
         /// Dataset video name (see `cava list-videos`).
         video: String,
-        /// Scheme name from [`crate::scheme::SCHEME_NAMES`].
+        /// Scheme wire name ([`crate::scheme::SchemeKind::wire`]).
         scheme: String,
         /// VMAF device model: 0 = TV, 1 = phone.
         vmaf_model: u8,

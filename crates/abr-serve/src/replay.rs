@@ -107,7 +107,7 @@ pub enum Event {
         session_id: u64,
         /// Dataset video name the session is bound to.
         video: String,
-        /// Scheme name from [`crate::scheme::SCHEME_NAMES`].
+        /// Scheme wire name ([`crate::scheme::SchemeKind::wire`]).
         scheme: String,
         /// VMAF device model code (0 = TV, 1 = phone).
         vmaf_model: u8,
@@ -888,8 +888,8 @@ struct ReplaySession {
 /// Re-executes a recorded run tick-for-tick.
 ///
 /// The player replays at the **decision level**: `SessionOpened` rebuilds
-/// the session's algorithm through the same [`scheme::build_scheme`] the
-/// store used, and every recorded `Decision` re-runs `choose_level`
+/// the session's algorithm through the same [`scheme::SchemeKind`] catalog
+/// the store used, and every recorded `Decision` re-runs `choose_level`
 /// against the recorded request, comparing the answer bit-for-bit with the
 /// recorded response. Store bookkeeping events (orphan/resume/evict/…)
 /// drive session lifetime; frame and fault events are verified counters.

@@ -1,10 +1,11 @@
-//! The scheme registry: one authoritative mapping from scheme names to
-//! boxed [`AbrAlgorithm`] instances, plus the dataset video loader.
+//! The scheme catalog and the dataset video loader.
 //!
-//! This used to live inside the CLI; the serving layer moved it here so the
-//! CLI, the session store, and the load generator all build schemes through
-//! the same constructor — a session opened over the wire is configured by
-//! exactly the code path a local `cava run` uses, which is half of the
+//! [`SchemeKind`] is the one table of ABR schemes. Each variant carries its
+//! wire name (`OpenSession`, CAVR logs, `cava run`), its display name
+//! (CSVs, journals, the paper's labels) and its constructor. The session
+//! store, the load generator, replay, the CLI and every experiment build
+//! their algorithms through [`SchemeKind::build`], so a session opened over
+//! the wire runs exactly the code a local run does: half of the
 //! decision-parity guarantee.
 
 use abr_baselines::{Bba1, Bola, BolaBitrateView, Festive, Mpc, PandaCq, Pia, Rba};
@@ -13,69 +14,164 @@ use cava_core::Cava;
 use vbr_video::quality::VmafModel;
 use vbr_video::{Dataset, Video};
 
-/// Scheme names accepted by [`build_scheme`] (and by `cava run`).
-pub const SCHEME_NAMES: [&str; 15] = [
-    "cava",
-    "cava-p1",
-    "cava-p12",
-    "mpc",
-    "robustmpc",
-    "panda-max-sum",
-    "panda-max-min",
-    "rba",
-    "bba1",
-    "pia",
-    "festive",
-    "bola",
-    "bola-e-peak",
-    "bola-e-avg",
-    "bola-e-seg",
-];
-
-/// Whether `name` is a scheme this registry can build.
-pub fn is_known_scheme(name: &str) -> bool {
-    SCHEME_NAMES.contains(&name)
+/// Every scheme the reproduction can serve or evaluate. `Ord` follows
+/// declaration order and keys the experiments' ordered grid maps, so
+/// iteration over results is deterministic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum SchemeKind {
+    /// Full CAVA (all three design principles, §5).
+    Cava,
+    /// CAVA ablation: principle 1 only (§6.4).
+    CavaP1,
+    /// CAVA ablation: principles 1+2 (§6.4).
+    CavaP12,
+    /// MPC (Yin et al.), nominal predictions.
+    Mpc,
+    /// RobustMPC: MPC with conservative prediction discounting.
+    RobustMpc,
+    /// PANDA/CQ, max-sum objective (quality side information, §6.1).
+    PandaMaxSum,
+    /// PANDA/CQ, max-min objective.
+    PandaMaxMin,
+    /// Rate-based adaptation baseline.
+    Rba,
+    /// Buffer-based adaptation (BBA-1).
+    Bba1,
+    /// PIA: PID-control adaptation for CBR (§5.1 lineage).
+    Pia,
+    /// FESTIVE.
+    Festive,
+    /// Plain BOLA.
+    Bola,
+    /// BOLA-E seeing peak bitrates (§6.8).
+    BolaEPeak,
+    /// BOLA-E seeing average bitrates (§6.8).
+    BolaEAvg,
+    /// BOLA-E seeing per-segment sizes (§6.8).
+    BolaESeg,
 }
 
-/// Build a fresh scheme instance by name. The boxed algorithm is `Send` so
-/// the session store can park it behind a per-session lock and worker
-/// threads can drive it.
+impl SchemeKind {
+    /// Every scheme, in declaration order.
+    pub const ALL: [SchemeKind; 15] = [
+        SchemeKind::Cava,
+        SchemeKind::CavaP1,
+        SchemeKind::CavaP12,
+        SchemeKind::Mpc,
+        SchemeKind::RobustMpc,
+        SchemeKind::PandaMaxSum,
+        SchemeKind::PandaMaxMin,
+        SchemeKind::Rba,
+        SchemeKind::Bba1,
+        SchemeKind::Pia,
+        SchemeKind::Festive,
+        SchemeKind::Bola,
+        SchemeKind::BolaEPeak,
+        SchemeKind::BolaEAvg,
+        SchemeKind::BolaESeg,
+    ];
+
+    /// The paper's §6.3 comparison set (Fig. 8).
+    pub const FIG8: [SchemeKind; 5] = [
+        SchemeKind::Cava,
+        SchemeKind::Mpc,
+        SchemeKind::RobustMpc,
+        SchemeKind::PandaMaxSum,
+        SchemeKind::PandaMaxMin,
+    ];
+
+    /// The §6.4 ablation set (Fig. 10).
+    pub const ABLATION: [SchemeKind; 3] =
+        [SchemeKind::CavaP1, SchemeKind::CavaP12, SchemeKind::Cava];
+
+    /// The §6.8 dash.js set (Fig. 11).
+    pub const FIG11: [SchemeKind; 4] = [
+        SchemeKind::Cava,
+        SchemeKind::BolaEAvg,
+        SchemeKind::BolaEPeak,
+        SchemeKind::BolaESeg,
+    ];
+
+    /// `(wire name, display name)`.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            SchemeKind::Cava => ("cava", "CAVA"),
+            SchemeKind::CavaP1 => ("cava-p1", "CAVA-p1"),
+            SchemeKind::CavaP12 => ("cava-p12", "CAVA-p12"),
+            SchemeKind::Mpc => ("mpc", "MPC"),
+            SchemeKind::RobustMpc => ("robustmpc", "RobustMPC"),
+            SchemeKind::PandaMaxSum => ("panda-max-sum", "PANDA/CQ max-sum"),
+            SchemeKind::PandaMaxMin => ("panda-max-min", "PANDA/CQ max-min"),
+            SchemeKind::Rba => ("rba", "RBA"),
+            SchemeKind::Bba1 => ("bba1", "BBA-1"),
+            SchemeKind::Pia => ("pia", "PIA"),
+            SchemeKind::Festive => ("festive", "FESTIVE"),
+            SchemeKind::Bola => ("bola", "BOLA"),
+            SchemeKind::BolaEPeak => ("bola-e-peak", "BOLA-E (peak)"),
+            SchemeKind::BolaEAvg => ("bola-e-avg", "BOLA-E (avg)"),
+            SchemeKind::BolaESeg => ("bola-e-seg", "BOLA-E (seg)"),
+        }
+    }
+
+    /// Wire name: what `OpenSession`, CAVR logs and `cava run` carry.
+    pub fn wire(self) -> &'static str {
+        self.names().0
+    }
+
+    /// Display name matching the paper's; also the built algorithm's
+    /// [`AbrAlgorithm::name`].
+    pub fn name(self) -> &'static str {
+        self.names().1
+    }
+
+    /// The scheme whose [`SchemeKind::wire`] name is `wire`.
+    pub fn from_wire(wire: &str) -> Option<SchemeKind> {
+        SchemeKind::ALL.into_iter().find(|k| k.wire() == wire)
+    }
+
+    /// Instantiate the scheme. PANDA/CQ receives the video's quality table
+    /// under `model` (its granted side information, §6.1); every other
+    /// scheme sees only the manifest. The box is `Send` so the session
+    /// store can park it behind a per-session lock.
+    pub fn build(self, video: &Video, model: VmafModel) -> Box<dyn AbrAlgorithm + Send> {
+        match self {
+            SchemeKind::Cava => Box::new(Cava::paper_default()),
+            SchemeKind::CavaP1 => Box::new(Cava::p1()),
+            SchemeKind::CavaP12 => Box::new(Cava::p12()),
+            SchemeKind::Mpc => Box::new(Mpc::mpc()),
+            SchemeKind::RobustMpc => Box::new(Mpc::robust()),
+            SchemeKind::PandaMaxSum => Box::new(PandaCq::max_sum(video, model)),
+            SchemeKind::PandaMaxMin => Box::new(PandaCq::max_min(video, model)),
+            SchemeKind::Rba => Box::new(Rba::paper_default()),
+            SchemeKind::Bba1 => Box::new(Bba1::paper_default()),
+            SchemeKind::Pia => Box::new(Pia::paper_default()),
+            SchemeKind::Festive => Box::new(Festive::paper_default()),
+            SchemeKind::Bola => Box::new(Bola::bola()),
+            SchemeKind::BolaEPeak => Box::new(Bola::bola_e(BolaBitrateView::Peak)),
+            SchemeKind::BolaEAvg => Box::new(Bola::bola_e(BolaBitrateView::Average)),
+            SchemeKind::BolaESeg => Box::new(Bola::bola_e(BolaBitrateView::Segment)),
+        }
+    }
+}
+
+/// Build a fresh scheme instance by wire name; unknown names are an error
+/// that lists the known ones.
 pub fn build_scheme(
     name: &str,
     video: &Video,
     model: VmafModel,
 ) -> Result<Box<dyn AbrAlgorithm + Send>, String> {
-    Ok(match name {
-        "cava" => Box::new(Cava::paper_default()),
-        "cava-p1" => Box::new(Cava::p1()),
-        "cava-p12" => Box::new(Cava::p12()),
-        "mpc" => Box::new(Mpc::mpc()),
-        "robustmpc" => Box::new(Mpc::robust()),
-        "panda-max-sum" => Box::new(PandaCq::max_sum(video, model)),
-        "panda-max-min" => Box::new(PandaCq::max_min(video, model)),
-        "rba" => Box::new(Rba::paper_default()),
-        "bba1" => Box::new(Bba1::paper_default()),
-        "pia" => Box::new(Pia::paper_default()),
-        "festive" => Box::new(Festive::paper_default()),
-        "bola" => Box::new(Bola::bola()),
-        "bola-e-peak" => Box::new(Bola::bola_e(BolaBitrateView::Peak)),
-        "bola-e-avg" => Box::new(Bola::bola_e(BolaBitrateView::Average)),
-        "bola-e-seg" => Box::new(Bola::bola_e(BolaBitrateView::Segment)),
-        other => {
-            return Err(format!(
-                "unknown scheme {other:?} (known: {})",
-                SCHEME_NAMES.join(", ")
-            ))
-        }
-    })
+    let kind = SchemeKind::from_wire(name).ok_or_else(|| {
+        let known = SchemeKind::ALL.map(SchemeKind::wire).join(", ");
+        format!("unknown scheme {name:?} (known: {known})")
+    })?;
+    Ok(kind.build(video, model))
 }
 
-/// Whether `name` resolves through [`load_video`] — checked against the
-/// spec list without paying for synthesis.
+/// Whether `name` resolves through [`load_video`], checked against
+/// [`Dataset::names`] without paying for synthesis.
 pub fn is_known_video(name: &str) -> bool {
-    name == "ED-ffmpeg-h264-cap4x"
-        || name == "ED-ffmpeg-h264-cbr"
-        || Dataset::specs().iter().any(|s| s.name == name)
+    Dataset::names().iter().any(|n| n == name)
 }
 
 /// Wire code for a [`VmafModel`] (0 = TV, 1 = phone).
@@ -95,20 +191,13 @@ pub fn vmaf_model_from_code(code: u8) -> Option<VmafModel> {
     }
 }
 
-/// Resolve a dataset video by name, including the two encoder variants that
-/// live outside [`Dataset::specs`].
+/// Resolve a dataset video by name through [`Dataset::by_name`]; an
+/// unknown name is an error that lists the known ones.
 pub fn load_video(name: &str) -> Result<Video, String> {
-    if name == "ED-ffmpeg-h264-cap4x" {
-        return Ok(Dataset::ed_ffmpeg_h264_cap4());
-    }
-    if name == "ED-ffmpeg-h264-cbr" {
-        return Ok(Dataset::ed_ffmpeg_h264_cbr());
-    }
     Dataset::by_name(name).ok_or_else(|| {
-        let known: Vec<String> = Dataset::specs().iter().map(|s| s.name.clone()).collect();
         format!(
             "unknown video {name:?}; run `cava list-videos` (known: {})",
-            known.join(", ")
+            Dataset::names().join(", ")
         )
     })
 }
@@ -120,11 +209,24 @@ mod tests {
 
     #[test]
     fn every_registered_scheme_builds() {
+        // The wire name round-trips, both name sets are unique, and the
+        // built algorithm reports the display name: an experiment's label
+        // is the algorithm a served session runs.
         let video = Dataset::ed_youtube_h264();
-        for name in SCHEME_NAMES {
-            let algo = build_scheme(name, &video, VmafModel::Tv).unwrap();
-            assert!(!algo.name().is_empty(), "{name} has an empty display name");
-            assert!(is_known_scheme(name));
+        for kind in SchemeKind::ALL {
+            assert_eq!(SchemeKind::from_wire(kind.wire()), Some(kind));
+            for model in [VmafModel::Tv, VmafModel::Phone] {
+                assert_eq!(kind.build(&video, model).name(), kind.name());
+            }
+        }
+        for names in [
+            SchemeKind::ALL.map(SchemeKind::wire),
+            SchemeKind::ALL.map(SchemeKind::name),
+        ] {
+            let mut sorted = names.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), names.len(), "{names:?}");
         }
     }
 
@@ -136,15 +238,23 @@ mod tests {
             Ok(_) => panic!("scheme \"nope\" should not build"),
         };
         assert!(err.contains("unknown scheme"));
-        assert!(!is_known_scheme("nope"));
+        assert!(err.contains("bola-e-seg"));
+        assert_eq!(SchemeKind::from_wire("nope"), None);
+        assert_eq!(
+            SchemeKind::from_wire("CAVA"),
+            None,
+            "display names are not wire names"
+        );
     }
 
     #[test]
     fn encoder_variants_load() {
         for name in ["ED-ffmpeg-h264-cap4x", "ED-ffmpeg-h264-cbr"] {
+            assert!(is_known_video(name));
             let video = load_video(name).unwrap();
             assert!(Manifest::from_video(&video).n_chunks() > 0);
         }
+        assert!(!is_known_video("no-such-video"));
         assert!(load_video("no-such-video").is_err());
     }
 }

@@ -26,7 +26,7 @@
 //! store operation), not wall time — this crate reads no clock.
 
 use crate::replay::{Event, Recorder};
-use crate::scheme;
+use crate::scheme::{self, SchemeKind};
 use crate::{lock, protocol::ErrorCode};
 use abr_baselines::Rba;
 use abr_sim::{AbrAlgorithm, DecisionRequest, DecisionResponse};
@@ -343,17 +343,15 @@ impl SessionStore {
     ) -> Result<OpenOutcome, StoreError> {
         let model: VmafModel =
             scheme::vmaf_model_from_code(vmaf_code).ok_or(StoreError::BadVmafModel(vmaf_code))?;
-        if !scheme::is_known_scheme(scheme_name) {
-            return Err(StoreError::UnknownScheme(scheme_name.to_string()));
-        }
+        let kind = SchemeKind::from_wire(scheme_name)
+            .ok_or_else(|| StoreError::UnknownScheme(scheme_name.to_string()))?;
         let handle = (self.provider)(video_name)
             .ok_or_else(|| StoreError::UnknownVideo(video_name.to_string()))?;
         // Scheme construction can be heavy (PANDA-CQ precomputes quality
         // tables), so it happens before the map lock. A degraded admission
         // throws the instance away — correctness first, the overload path
         // is not the fast path.
-        let algo = scheme::build_scheme(scheme_name, &handle.video, model)
-            .map_err(StoreError::UnknownScheme)?;
+        let algo = kind.build(&handle.video, model);
         let tick = self.bump_tick();
         let n_tracks = handle.manifest.n_tracks();
         let n_chunks = handle.manifest.n_chunks();

@@ -24,21 +24,21 @@
 //!
 //! Experiment *bodies* stay sequential — their stdout is the deliverable
 //! and must not interleave — while everything inside a body fans out
-//! through the shared scheduler, and [`run_all`] pre-builds the full
-//! dataset and both trace corpora in parallel before the first experiment
-//! starts.
+//! through the shared scheduler, and [`run_all`] pre-builds every dataset
+//! video and the trace corpora the experiments read (LTE and FCC) in
+//! parallel before the first experiment starts.
 //!
 //! # Registering and running an experiment
 //!
 //! ```no_run
 //! use abr_bench::engine;
-//! use abr_bench::harness::{SchemeKind, TraceSet};
+//! use abr_bench::harness::{NetworkRegime, SchemeKind};
 //!
 //! // An experiment body: fetch cached artifacts, fan out, print, save.
 //! fn run() -> std::io::Result<()> {
-//!     let video = engine::video("ED-ffmpeg-h264");   // cached, prepared
-//!     let traces = engine::traces(TraceSet::Lte);    // cached corpus
-//!     let qoe = TraceSet::Lte.qoe_config();
+//!     let video = engine::video("ED-ffmpeg-h264");     // cached, prepared
+//!     let traces = engine::traces(NetworkRegime::Lte); // cached corpus
+//!     let qoe = NetworkRegime::Lte.corpus_qoe();
 //!     let player = abr_sim::PlayerConfig::default();
 //!     let grid = engine::run_grid(&SchemeKind::FIG8, &video, &traces, &qoe, &player);
 //!     for (scheme, sessions) in &grid {
@@ -64,7 +64,7 @@ use net_trace::Trace;
 use vbr_video::{Classification, Dataset, Manifest, Video};
 
 use crate::experiments;
-use crate::harness::{self, SchemeKind, TraceSet};
+use crate::harness::{self, NetworkRegime, SchemeKind};
 use crate::journal;
 
 // ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ impl Deref for PreparedVideo {
 // Ordered maps throughout (abr-lint rule R2): nothing in this crate may
 // iterate in hash order, so that journal and report output is byte-stable.
 type VideoCache = Mutex<BTreeMap<String, Arc<PreparedVideo>>>;
-type TraceCache = Mutex<BTreeMap<(TraceSet, usize), Arc<Vec<Trace>>>>;
+type TraceCache = Mutex<BTreeMap<(NetworkRegime, usize), Arc<Vec<Trace>>>>;
 
 static VIDEOS: OnceLock<VideoCache> = OnceLock::new();
 static TRACES: OnceLock<TraceCache> = OnceLock::new();
@@ -119,7 +119,7 @@ static TRACES: OnceLock<TraceCache> = OnceLock::new();
 /// can check one key's exactly-once build while other tests in the same
 /// binary fill other entries concurrently.
 static VIDEO_BUILDS: Mutex<BTreeMap<String, usize>> = Mutex::new(BTreeMap::new());
-static TRACE_BUILDS: Mutex<BTreeMap<(TraceSet, usize), usize>> = Mutex::new(BTreeMap::new());
+static TRACE_BUILDS: Mutex<BTreeMap<(NetworkRegime, usize), usize>> = Mutex::new(BTreeMap::new());
 
 /// How many videos have actually been synthesized (cache misses). Stable
 /// across repeated [`video`] calls for the same name — the exactly-once
@@ -150,29 +150,19 @@ pub fn trace_generations() -> usize {
 
 /// How many times the `(set, count)` corpus was generated: 0 before the
 /// first [`traces_n`] call for it, 1 ever after.
-pub fn trace_generations_of(set: TraceSet, count: usize) -> usize {
+pub fn trace_generations_of(set: NetworkRegime, count: usize) -> usize {
     let counts = TRACE_BUILDS.lock().expect("trace build counts");
     counts.get(&(set, count)).copied().unwrap_or(0)
 }
 
-fn build_named(name: &str) -> Video {
-    match name {
-        // The two off-ladder variants that are not in `Dataset::specs()`.
-        "ED-ffmpeg-h264-cap4x" => Dataset::ed_ffmpeg_h264_cap4(),
-        "ED-ffmpeg-h264-cbr" => Dataset::ed_ffmpeg_h264_cbr(),
-        other => {
-            Dataset::by_name(other).unwrap_or_else(|| panic!("unknown dataset video `{other}`"))
-        }
-    }
-}
-
 /// The named dataset video, prepared and cached. Accepts every
-/// `Dataset::specs()` name plus `"ED-ffmpeg-h264-cap4x"` and
-/// `"ED-ffmpeg-h264-cbr"`. Repeated calls return the same `Arc`.
+/// [`Dataset::names`] entry. Repeated calls return the same `Arc`.
 ///
 /// Panics on an unknown name (programmer error: the dataset is static).
 pub fn video(name: &str) -> Arc<PreparedVideo> {
-    video_with(name, || build_named(name))
+    video_with(name, || {
+        Dataset::by_name(name).unwrap_or_else(|| panic!("unknown dataset video `{name}`"))
+    })
 }
 
 /// Like [`video`], but for ad-hoc synthesized videos (chunk-duration and
@@ -238,21 +228,22 @@ pub fn serve_provider() -> abr_serve::store::VideoProvider {
         .clone()
 }
 
-/// The trace corpus for `set` at the current [`harness::trace_count`],
-/// cached. Repeated calls return the same `Arc`.
-pub fn traces(set: TraceSet) -> Arc<Vec<Trace>> {
+/// The evaluation corpus of `set` (base seed
+/// [`NetworkRegime::corpus_seed`]) at the current
+/// [`harness::trace_count`], cached. Repeated calls return the same `Arc`.
+pub fn traces(set: NetworkRegime) -> Arc<Vec<Trace>> {
     traces_n(set, harness::trace_count())
 }
 
 /// The trace corpus for `(set, count)`, cached; also journals the corpus
 /// use (set name, base seed, count) against the open experiment.
-pub fn traces_n(set: TraceSet, count: usize) -> Arc<Vec<Trace>> {
-    journal::note_traces(set.name(), set.seed(), count);
+pub fn traces_n(set: NetworkRegime, count: usize) -> Arc<Vec<Trace>> {
+    journal::note_traces(set.label(), set.corpus_seed(), count);
     let cache = TRACES.get_or_init(Default::default);
     if let Some(hit) = cache.lock().expect("trace cache").get(&(set, count)) {
         return Arc::clone(hit);
     }
-    let generated = Arc::new(set.generate(count));
+    let generated = Arc::new(set.corpus(count, set.corpus_seed()));
     let mut guard = cache.lock().expect("trace cache");
     match guard.get(&(set, count)) {
         Some(racer) => Arc::clone(racer),
@@ -268,19 +259,13 @@ pub fn traces_n(set: TraceSet, count: usize) -> Arc<Vec<Trace>> {
     }
 }
 
-/// Warm every cache the full evaluation needs — all 16 dataset videos, the
-/// two off-ladder variants, and all four trace corpora — through the shared
-/// scheduler, so [`run_all`]'s experiments only ever hit warm caches.
+/// Warm every cache the full evaluation reads — every [`Dataset::names`]
+/// video and the LTE and FCC corpora (no experiment reads the 5G or
+/// satellite corpus) — through the shared scheduler, so [`run_all`]'s
+/// experiments only ever hit warm caches.
 pub fn prefetch() {
-    let mut names: Vec<String> = Dataset::specs().into_iter().map(|s| s.name).collect();
-    names.push("ED-ffmpeg-h264-cap4x".to_string());
-    names.push("ED-ffmpeg-h264-cbr".to_string());
-    let sets = [
-        TraceSet::Lte,
-        TraceSet::Fcc,
-        TraceSet::FiveG,
-        TraceSet::Satellite,
-    ];
+    let names = Dataset::names();
+    let sets = [NetworkRegime::Lte, NetworkRegime::Fcc];
     let total = names.len() + sets.len();
     run_indexed(total, |i| {
         if i < names.len() {
@@ -506,25 +491,25 @@ mod tests {
 
     #[test]
     fn trace_cache_returns_same_arc_and_counts_builds_once() {
-        let before = trace_generations_of(TraceSet::Lte, 5);
-        let a = traces_n(TraceSet::Lte, 5);
-        let after_first = trace_generations_of(TraceSet::Lte, 5);
-        let b = traces_n(TraceSet::Lte, 5);
+        let before = trace_generations_of(NetworkRegime::Lte, 5);
+        let a = traces_n(NetworkRegime::Lte, 5);
+        let after_first = trace_generations_of(NetworkRegime::Lte, 5);
+        let b = traces_n(NetworkRegime::Lte, 5);
         assert!(Arc::ptr_eq(&a, &b), "same key must share one Arc");
         assert!(after_first - before <= 1);
         assert_eq!(after_first, 1, "a cached corpus was generated exactly once");
-        assert_eq!(trace_generations_of(TraceSet::Lte, 5), after_first);
+        assert_eq!(trace_generations_of(NetworkRegime::Lte, 5), after_first);
         assert_eq!(a.len(), 5);
     }
 
     #[test]
     fn distinct_seeds_give_distinct_data() {
-        let lte = traces_n(TraceSet::Lte, 3);
-        let fcc = traces_n(TraceSet::Fcc, 3);
+        let lte = traces_n(NetworkRegime::Lte, 3);
+        let fcc = traces_n(NetworkRegime::Fcc, 3);
         assert!(!Arc::ptr_eq(&lte, &fcc));
         assert_ne!(lte.as_slice(), fcc.as_slice());
         // Distinct counts are distinct cache entries too.
-        let lte4 = traces_n(TraceSet::Lte, 4);
+        let lte4 = traces_n(NetworkRegime::Lte, 4);
         assert!(!Arc::ptr_eq(&lte, &lte4));
         // Two videos with different content seeds differ.
         let ed = video("ED-ffmpeg-h264");

@@ -8,7 +8,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{mean_of, run_scheme, Metric, SchemeKind, TraceSet};
+use crate::harness::{mean_of, run_scheme, Metric, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use sim_report::{CsvWriter, TextTable};
@@ -21,8 +21,8 @@ pub const ERROR_SWEEP: [f64; 3] = [0.0, 0.25, 0.50];
 pub fn run() -> io::Result<()> {
     banner("§6.7", "Impact of bandwidth prediction error");
     let video = engine::video("ED-ffmpeg-h264");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
 
     let schemes = [
         SchemeKind::Cava,

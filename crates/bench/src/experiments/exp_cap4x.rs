@@ -11,7 +11,7 @@
 
 use crate::engine;
 use crate::experiments::{banner, pct_delta};
-use crate::harness::{mean_of, run_scheme, Metric, SchemeKind, TraceSet};
+use crate::harness::{mean_of, run_scheme, Metric, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use sim_report::table::arrow_delta;
@@ -57,8 +57,8 @@ pub fn run() -> io::Result<()> {
     println!("paper §3.3 (phone, 480p): Q1-Q3 ≈ 88/88/85, Q4 ≈ 79 — the gap persists at 4x");
 
     // ---- §6.6 streaming comparison ----
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
     let schemes = [
         SchemeKind::Cava,

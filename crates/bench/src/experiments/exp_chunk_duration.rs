@@ -12,7 +12,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{run_scheme, Metric, SchemeKind, TraceSet};
+use crate::harness::{run_scheme, Metric, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::{PlayerConfig, TcpConfig};
 use sim_report::{CsvWriter, TextTable};
@@ -26,8 +26,8 @@ pub const DURATION_SWEEP: [f64; 4] = [1.0, 2.0, 5.0, 10.0];
 /// Run this experiment (registry entry point).
 pub fn run() -> io::Result<()> {
     banner("ext: chunk duration", "Same content chunked at 1/2/5/10 s");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
     let ladder = Ladder::ffmpeg_h264();
 

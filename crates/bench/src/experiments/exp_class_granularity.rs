@@ -12,7 +12,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{run_with_factory, Metric, TraceSet};
+use crate::harness::{run_with_factory, Metric, NetworkRegime};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use cava_core::{Cava, CavaConfig};
@@ -29,8 +29,8 @@ pub fn run() -> io::Result<()> {
         "CAVA with K size classes instead of quartiles (§3.1.1)",
     );
     let video = engine::video("ED-ffmpeg-h264");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
 
     let path = results_dir().join("exp_class_granularity.csv");

@@ -16,7 +16,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{run_with_factory, Metric, TraceSet};
+use crate::harness::{run_with_factory, Metric, NetworkRegime};
 use crate::results_dir;
 use abr_sim::{AbrAlgorithm, DecisionContext, PlayerConfig};
 use cava_core::{Cava, CavaConfig, InnerController, InnerInputs, OuterController, PidController};
@@ -134,8 +134,8 @@ pub fn run() -> io::Result<()> {
 
     // Part 2: does the residual disagreement matter for QoE?
     let video = engine::video("ED-ffmpeg-h264");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
     let content_classes: Vec<bool> = {
         let c = classification_from_si_ti(&video);

@@ -8,7 +8,7 @@
 
 use crate::engine;
 use crate::experiments::{banner, pct_delta};
-use crate::harness::{mean_of, run_scheme, Metric, SchemeKind, TraceSet};
+use crate::harness::{mean_of, run_scheme, Metric, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use sim_report::table::arrow_delta;
@@ -18,8 +18,8 @@ use std::io;
 /// Run this experiment (registry entry point).
 pub fn run() -> io::Result<()> {
     banner("§6.5", "Codec impact: H.265 encodings (LTE traces)");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
 
     let path = results_dir().join("exp_codec_h265.csv");

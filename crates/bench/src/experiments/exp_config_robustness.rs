@@ -9,7 +9,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{run_with_factory, Metric, TraceSet};
+use crate::harness::{run_with_factory, Metric, NetworkRegime};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use cava_core::{Cava, CavaConfig};
@@ -23,8 +23,8 @@ pub fn run() -> io::Result<()> {
         "Startup latency, base target buffer, and PID gains (§6.1/§5.4)",
     );
     let video = engine::video("ED-ffmpeg-h264");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let path = results_dir().join("exp_config_robustness.csv");
     let mut csv = CsvWriter::create(&path, &["knob", "value", "q4", "all", "rebuf_s", "qchange"])?;
 

@@ -14,7 +14,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{SchemeKind, TraceSet};
+use crate::harness::{NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::metrics::evaluate;
 use abr_sim::{LiveConfig, PlayerConfig, Simulator};
@@ -28,8 +28,8 @@ pub const HEAD_START_SWEEP: [usize; 4] = [2, 4, 8, 12];
 pub fn run() -> io::Result<()> {
     banner("ext: live", "Live VBR streaming (paper §8 future work)");
     let video = engine::video("ED-youtube-h264");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let delta = video.manifest.chunk_duration();
 
     let path = results_dir().join("exp_live.csv");

@@ -9,7 +9,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{mean_of, run_scheme, Metric, SchemeKind, TraceSet};
+use crate::harness::{mean_of, run_scheme, Metric, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_baselines::{OfflineOptConfig, OfflineOptimal};
 use abr_sim::metrics::{evaluate, LinearQoeWeights, QoeMetrics};
@@ -27,8 +27,8 @@ pub fn run() -> io::Result<()> {
     let video = engine::video("ED-ffmpeg-h264");
     let manifest = Manifest::from_video(&video);
     let classification = Classification::from_video(&video);
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
     let opt_cfg = OfflineOptConfig::default();
 

@@ -12,7 +12,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{mean_of, run_scheme, Metric, SchemeKind, TraceSet};
+use crate::harness::{mean_of, run_scheme, Metric, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use sim_report::{CsvWriter, TextTable};
@@ -25,8 +25,8 @@ pub fn run() -> io::Result<()> {
         "Perfect bandwidth prediction vs harmonic mean",
     );
     let video = engine::video("ED-ffmpeg-h264");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
 
     let path = results_dir().join("exp_oracle.csv");
     let mut csv = CsvWriter::create(

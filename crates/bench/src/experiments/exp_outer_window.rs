@@ -8,7 +8,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{run_with_factory, Metric, TraceSet};
+use crate::harness::{run_with_factory, Metric, NetworkRegime};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use cava_core::{Cava, CavaConfig};
@@ -21,8 +21,8 @@ pub const OUTER_SWEEP_S: [f64; 6] = [0.0, 40.0, 100.0, 200.0, 400.0, 600.0];
 /// Run this experiment (registry entry point).
 pub fn run() -> io::Result<()> {
     banner("§6.2", "Impact of outer controller window size W'");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
 
     let path = results_dir().join("exp_outer_window.csv");

@@ -17,7 +17,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{mean_of, run_with_factory, Metric, TraceSet};
+use crate::harness::{mean_of, run_with_factory, Metric, NetworkRegime};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use cava_core::Cava;
@@ -44,8 +44,8 @@ pub fn run() -> io::Result<()> {
         "Fixed vs per-title encoding ladders (§2 refs [11]/[29])",
     );
     let base = Ladder::ffmpeg_h264();
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
 
     // Per-title bitrate scale = hardness^θ, normalized so the catalog's

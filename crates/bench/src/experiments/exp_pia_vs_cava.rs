@@ -10,7 +10,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{mean_of, run_scheme, Metric, SchemeKind, TraceSet};
+use crate::harness::{mean_of, run_scheme, Metric, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use sim_report::{CsvWriter, TextTable};
@@ -22,8 +22,8 @@ pub fn run() -> io::Result<()> {
         "ext: PIA → CAVA",
         "The CBR-to-VBR control lineage on VBR content",
     );
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
     let path = results_dir().join("exp_pia_vs_cava.csv");
     let mut csv = CsvWriter::create(

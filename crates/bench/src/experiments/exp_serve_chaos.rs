@@ -27,7 +27,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::TraceSet;
+use crate::harness::NetworkRegime;
 use crate::journal::{self, Stopwatch};
 use crate::results_dir;
 use abr_serve::loadgen::{self, FaultConfig, LoadgenConfig};
@@ -270,7 +270,7 @@ pub fn run() -> io::Result<()> {
 
     // Per-scheme breakdown, journaled like every other experiment: the QoE
     // a faulted-but-recovered fleet delivers must match the clean soak.
-    let qoe = TraceSet::Lte.qoe_config();
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let mut by_scheme: BTreeMap<(String, String), Vec<&loadgen::SessionOutcome>> = BTreeMap::new();
     for outcome in &report.outcomes {
         by_scheme

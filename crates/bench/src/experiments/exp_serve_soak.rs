@@ -26,7 +26,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::TraceSet;
+use crate::harness::NetworkRegime;
 use crate::journal::{self, Stopwatch};
 use crate::results_dir;
 use abr_serve::loadgen::{self, LoadgenConfig};
@@ -229,7 +229,7 @@ fn run_smoke(threads: usize) -> io::Result<SmokeBench> {
 
     // Per-scheme breakdown: service latency plus the QoE the served fleet
     // actually delivered (journaled like every other experiment).
-    let qoe = TraceSet::Lte.qoe_config();
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let mut by_scheme: BTreeMap<(String, String), Vec<&loadgen::SessionOutcome>> = BTreeMap::new();
     for outcome in &report.outcomes {
         by_scheme

@@ -12,7 +12,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{run_with_factory, Metric, TraceSet};
+use crate::harness::{run_with_factory, Metric, NetworkRegime};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use cava_core::{Cava, CavaConfig, SwitchPenaltyMode};
@@ -26,8 +26,8 @@ pub fn run() -> io::Result<()> {
         "Eq. 3 track-change penalty forms (§5.3)",
     );
     let video = engine::video("ED-ffmpeg-h264");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
 
     let modes = [

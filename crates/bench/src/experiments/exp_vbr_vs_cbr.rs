@@ -9,7 +9,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{mean_of, run_scheme, Metric, SchemeKind, TraceSet};
+use crate::harness::{mean_of, run_scheme, Metric, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use sim_report::{CsvWriter, TextTable};
@@ -58,8 +58,8 @@ pub fn run() -> io::Result<()> {
     println!("paper §1: VBR gives better quality at the same average bitrate than CBR");
 
     // Streaming-level comparison: CAVA on both encodings.
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
     let path = results_dir().join("exp_vbr_vs_cbr.csv");
     let mut csv = CsvWriter::create(

@@ -9,7 +9,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{run_sessions, SchemeKind, TraceSet};
+use crate::harness::{run_sessions, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::metrics::chunk_qualities;
 use abr_sim::PlayerConfig;
@@ -25,12 +25,12 @@ pub fn run() -> io::Result<()> {
     );
     let video = engine::video("ED-youtube-h264");
     let classification = Classification::from_video(&video);
-    let qoe = TraceSet::Lte.qoe_config();
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
 
     // Pick a moderately constrained trace: mean bandwidth near the middle of
     // the ladder, so schemes must make real choices.
-    let traces = engine::traces(TraceSet::Lte);
+    let traces = engine::traces(NetworkRegime::Lte);
     let trace = traces
         .iter()
         .filter(|t| t.mean_bps() > 1.2e6 && t.mean_bps() < 2.5e6)

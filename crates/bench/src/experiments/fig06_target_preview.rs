@@ -9,7 +9,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::TraceSet;
+use crate::harness::NetworkRegime;
 use crate::results_dir;
 use abr_sim::Simulator;
 use cava_core::probe::InstrumentedCava;
@@ -29,7 +29,7 @@ pub fn run() -> io::Result<()> {
     let reference = manifest.n_tracks() / 2;
 
     // A mid-grade trace so the buffer actually has dynamics.
-    let traces = engine::traces(TraceSet::Lte);
+    let traces = engine::traces(NetworkRegime::Lte);
     let trace = traces
         .iter()
         .filter(|t| t.mean_bps() > 1.5e6 && t.mean_bps() < 3.0e6)

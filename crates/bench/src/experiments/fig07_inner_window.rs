@@ -9,7 +9,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{run_with_factory, Metric, TraceSet};
+use crate::harness::{run_with_factory, Metric, NetworkRegime};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use cava_core::{Cava, CavaConfig};
@@ -23,8 +23,8 @@ pub const WINDOW_SWEEP_S: [f64; 7] = [2.0, 10.0, 20.0, 40.0, 80.0, 120.0, 160.0]
 pub fn run() -> io::Result<()> {
     banner("Fig. 7", "Impact of inner controller window size W");
     let video = engine::video("ED-ffmpeg-h264");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
 
     let mut table = TextTable::new(vec![

@@ -5,7 +5,7 @@
 
 use crate::engine::{self, PreparedVideo};
 use crate::experiments::banner;
-use crate::harness::{metric_cdf, Metric, SchemeKind, TraceSet};
+use crate::harness::{metric_cdf, Metric, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::metrics::QoeMetrics;
 use abr_sim::PlayerConfig;
@@ -18,8 +18,8 @@ use std::io;
 /// with Fig. 9, which plots different columns of the same runs). Ordered
 /// map: iteration order is deterministic (abr-lint rule R2).
 pub fn run_grid(video: &PreparedVideo) -> BTreeMap<SchemeKind, Vec<QoeMetrics>> {
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
     engine::run_grid(&SchemeKind::FIG8, video, &traces, &qoe, &player)
 }

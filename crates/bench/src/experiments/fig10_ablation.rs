@@ -9,7 +9,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{run_sessions, SchemeKind, TraceSet};
+use crate::harness::{run_sessions, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::metrics::chunk_qualities;
 use abr_sim::PlayerConfig;
@@ -25,8 +25,8 @@ pub fn run() -> io::Result<()> {
     );
     let video = engine::video("ED-ffmpeg-h264");
     let classification = Classification::from_video(&video);
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
 
     let variants = [SchemeKind::CavaP1, SchemeKind::CavaP12, SchemeKind::Cava];

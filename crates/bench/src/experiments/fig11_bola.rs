@@ -9,7 +9,7 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::{metric_cdf, run_scheme, Metric, SchemeKind, TraceSet};
+use crate::harness::{metric_cdf, run_scheme, Metric, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use sim_report::{AsciiChart, CsvWriter, Series, TextTable};
@@ -22,8 +22,8 @@ pub fn run() -> io::Result<()> {
         "CAVA vs BOLA-E variants (BBB, YouTube, H.264, LTE)",
     );
     let video = engine::video("BBB-youtube-h264");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     // §6.8 runs in dash.js: same startup threshold and buffer cap as the
     // simulation study, so the default player config applies.
     let player = PlayerConfig::default();

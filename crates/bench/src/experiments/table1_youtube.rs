@@ -9,7 +9,7 @@
 
 use crate::engine;
 use crate::experiments::{banner, pct_delta};
-use crate::harness::{mean_of, run_scheme, Metric, SchemeKind, TraceSet};
+use crate::harness::{mean_of, run_scheme, Metric, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use sim_report::table::arrow_delta;
@@ -17,7 +17,7 @@ use sim_report::{CsvWriter, TextTable};
 use std::io;
 
 /// The Table 1 video grid: `(video, trace set)`.
-pub fn grid() -> Vec<(String, TraceSet)> {
+pub fn grid() -> Vec<(String, NetworkRegime)> {
     let mut rows = Vec::new();
     for name in [
         "BBB-youtube-h264",
@@ -29,7 +29,7 @@ pub fn grid() -> Vec<(String, TraceSet)> {
         "Sports-youtube-h264",
         "Action-youtube-h264",
     ] {
-        rows.push((name.to_string(), TraceSet::Lte));
+        rows.push((name.to_string(), NetworkRegime::Lte));
     }
     for name in [
         "BBB-youtube-h264",
@@ -37,7 +37,7 @@ pub fn grid() -> Vec<(String, TraceSet)> {
         "Sintel-youtube-h264",
         "ToS-youtube-h264",
     ] {
-        rows.push((name.to_string(), TraceSet::Fcc));
+        rows.push((name.to_string(), NetworkRegime::Fcc));
     }
     rows
 }
@@ -72,7 +72,7 @@ pub fn run() -> io::Result<()> {
         ],
     )?;
     let player = PlayerConfig::default();
-    let mut prev_set = TraceSet::Lte;
+    let mut prev_set = NetworkRegime::Lte;
     for (video_name, set) in grid() {
         if set != prev_set {
             table.add_separator();
@@ -80,7 +80,7 @@ pub fn run() -> io::Result<()> {
         }
         let video = engine::video(&video_name);
         let traces = engine::traces(set);
-        let qoe = set.qoe_config();
+        let qoe = set.corpus_qoe();
         let schemes = [
             SchemeKind::Cava,
             SchemeKind::RobustMpc,
@@ -92,7 +92,7 @@ pub fn run() -> io::Result<()> {
             .collect();
         for (scheme, sessions) in schemes.iter().zip(&results) {
             csv.write_str_row(&[
-                set.name(),
+                set.label(),
                 &video_name,
                 scheme.name(),
                 &format!("{:.2}", mean_of(Metric::Q4Quality, sessions)),
@@ -118,7 +118,7 @@ pub fn run() -> io::Result<()> {
         };
         let short = video_name.trim_end_matches("-youtube-h264");
         table.add_row(vec![
-            set.name().to_string(),
+            set.label().to_string(),
             short.to_string(),
             cell(Metric::Q4Quality, true),
             cell(Metric::LowQualityPct, false),

@@ -8,7 +8,7 @@
 
 use crate::engine;
 use crate::experiments::{banner, pct_delta};
-use crate::harness::{mean_of, run_scheme, Metric, SchemeKind, TraceSet};
+use crate::harness::{mean_of, run_scheme, Metric, NetworkRegime, SchemeKind};
 use crate::results_dir;
 use abr_sim::PlayerConfig;
 use sim_report::table::arrow_delta;
@@ -26,8 +26,8 @@ pub const VIDEOS: [&str; 4] = [
 /// Run this experiment (registry entry point).
 pub fn run() -> io::Result<()> {
     banner("Table 2", "CAVA versus BOLA-E (seg) in the dash.js setting");
-    let traces = engine::traces(TraceSet::Lte);
-    let qoe = TraceSet::Lte.qoe_config();
+    let traces = engine::traces(NetworkRegime::Lte);
+    let qoe = NetworkRegime::Lte.corpus_qoe();
     let player = PlayerConfig::default();
 
     let mut table = TextTable::new(vec![

@@ -1,4 +1,5 @@
-//! Scheme registry, trace sets, and the session runners.
+//! The session runners, and the scheme and trace-corpus catalogs they take
+//! ([`SchemeKind`] from `abr-serve`, [`NetworkRegime`] from `abr-pop`).
 //!
 //! The runners ([`run_scheme`], [`run_with_factory`], [`run_sessions`])
 //! execute one algorithm over a trace corpus on the engine's shared
@@ -10,18 +11,12 @@
 //! byte-identical regardless of worker count (see the
 //! `partitioning_independence` regression test).
 
-use abr_baselines::{Bba1, Bola, BolaBitrateView, Festive, Mpc, PandaCq, Pia, Rba};
+pub use abr_pop::NetworkRegime;
+pub use abr_serve::scheme::SchemeKind;
 use abr_sim::metrics::{evaluate, QoeConfig, QoeMetrics};
 use abr_sim::{AbrAlgorithm, PlayerConfig, SessionResult, Simulator};
-use cava_core::{Cava, CavaConfig};
-use net_trace::fcc::{fcc_traces, FccConfig};
-use net_trace::fiveg::{fiveg_traces, FiveGConfig};
-use net_trace::lte::{lte_traces, LteConfig};
-use net_trace::satellite::{satellite_traces, SatelliteConfig};
 use net_trace::Trace;
 use sim_report::Cdf;
-use vbr_video::quality::VmafModel;
-use vbr_video::Video;
 
 use crate::engine::{self, PreparedVideo};
 use crate::journal;
@@ -33,178 +28,6 @@ pub fn trace_count() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(200)
-}
-
-/// Every scheme the evaluation runs. `build` instantiates a fresh algorithm
-/// (one per session — algorithms are stateful within a session). `Ord`
-/// follows declaration order and keys the ordered grid maps
-/// ([`crate::engine::run_grid`]), so iteration over results is
-/// deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum SchemeKind {
-    /// Full CAVA (all three design principles, §5).
-    Cava,
-    /// CAVA ablation: principle 1 only (§6.4).
-    CavaP1,
-    /// CAVA ablation: principles 1+2 (§6.4).
-    CavaP12,
-    /// MPC (Yin et al.), nominal predictions.
-    Mpc,
-    /// RobustMPC: MPC with conservative prediction discounting.
-    RobustMpc,
-    /// PANDA/CQ, max-sum objective (quality side information, §6.1).
-    PandaMaxSum,
-    /// PANDA/CQ, max-min objective.
-    PandaMaxMin,
-    /// Rate-based adaptation baseline.
-    Rba,
-    /// Buffer-based adaptation (BBA-1).
-    Bba1,
-    /// PIA: PID-control adaptation for CBR (§5.1 lineage).
-    Pia,
-    /// FESTIVE.
-    Festive,
-    /// Plain BOLA.
-    Bola,
-    /// BOLA-E seeing peak bitrates (§6.8).
-    BolaEPeak,
-    /// BOLA-E seeing average bitrates (§6.8).
-    BolaEAvg,
-    /// BOLA-E seeing per-segment sizes (§6.8).
-    BolaESeg,
-}
-
-impl SchemeKind {
-    /// The paper's §6.3 comparison set (Fig. 8).
-    pub const FIG8: [SchemeKind; 5] = [
-        SchemeKind::Cava,
-        SchemeKind::Mpc,
-        SchemeKind::RobustMpc,
-        SchemeKind::PandaMaxSum,
-        SchemeKind::PandaMaxMin,
-    ];
-
-    /// The §6.4 ablation set (Fig. 10).
-    pub const ABLATION: [SchemeKind; 3] =
-        [SchemeKind::CavaP1, SchemeKind::CavaP12, SchemeKind::Cava];
-
-    /// The §6.8 dash.js set (Fig. 11).
-    pub const FIG11: [SchemeKind; 4] = [
-        SchemeKind::Cava,
-        SchemeKind::BolaEAvg,
-        SchemeKind::BolaEPeak,
-        SchemeKind::BolaESeg,
-    ];
-
-    /// Display name matching the paper's.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchemeKind::Cava => "CAVA",
-            SchemeKind::CavaP1 => "CAVA-p1",
-            SchemeKind::CavaP12 => "CAVA-p12",
-            SchemeKind::Mpc => "MPC",
-            SchemeKind::RobustMpc => "RobustMPC",
-            SchemeKind::PandaMaxSum => "PANDA/CQ max-sum",
-            SchemeKind::PandaMaxMin => "PANDA/CQ max-min",
-            SchemeKind::Rba => "RBA",
-            SchemeKind::Bba1 => "BBA-1",
-            SchemeKind::Pia => "PIA",
-            SchemeKind::Festive => "FESTIVE",
-            SchemeKind::Bola => "BOLA",
-            SchemeKind::BolaEPeak => "BOLA-E (peak)",
-            SchemeKind::BolaEAvg => "BOLA-E (avg)",
-            SchemeKind::BolaESeg => "BOLA-E (seg)",
-        }
-    }
-
-    /// Instantiate the scheme. PANDA/CQ receives the video's quality table
-    /// under `model` (its granted side information, §6.1); every other
-    /// scheme sees only the manifest.
-    pub fn build(self, video: &Video, model: VmafModel) -> Box<dyn AbrAlgorithm> {
-        match self {
-            SchemeKind::Cava => Box::new(Cava::paper_default()),
-            SchemeKind::CavaP1 => Box::new(Cava::p1()),
-            SchemeKind::CavaP12 => Box::new(Cava::p12()),
-            SchemeKind::Mpc => Box::new(Mpc::mpc()),
-            SchemeKind::RobustMpc => Box::new(Mpc::robust()),
-            SchemeKind::PandaMaxSum => Box::new(PandaCq::max_sum(video, model)),
-            SchemeKind::PandaMaxMin => Box::new(PandaCq::max_min(video, model)),
-            SchemeKind::Rba => Box::new(Rba::paper_default()),
-            SchemeKind::Bba1 => Box::new(Bba1::paper_default()),
-            SchemeKind::Pia => Box::new(Pia::paper_default()),
-            SchemeKind::Festive => Box::new(Festive::paper_default()),
-            SchemeKind::Bola => Box::new(Bola::bola()),
-            SchemeKind::BolaEPeak => Box::new(Bola::bola_e(BolaBitrateView::Peak)),
-            SchemeKind::BolaEAvg => Box::new(Bola::bola_e(BolaBitrateView::Average)),
-            SchemeKind::BolaESeg => Box::new(Bola::bola_e(BolaBitrateView::Segment)),
-        }
-    }
-
-    /// Build with a custom CAVA configuration (parameter sweeps). Only valid
-    /// for the CAVA kinds.
-    pub fn build_cava(config: CavaConfig) -> Box<dyn AbrAlgorithm> {
-        Box::new(Cava::new(config))
-    }
-}
-
-/// The two trace corpora of §6.1 plus the two extension regimes the
-/// population workload mixes in (5G and GEO satellite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum TraceSet {
-    /// The LTE corpus (base seed 42).
-    Lte,
-    /// The FCC broadband corpus (base seed 4242).
-    Fcc,
-    /// The high-variance 5G corpus (base seed 424242).
-    FiveG,
-    /// The GEO-satellite corpus (base seed 42424242).
-    Satellite,
-}
-
-impl TraceSet {
-    /// The corpus' fixed base seed (journaled with every run).
-    pub fn seed(self) -> u64 {
-        match self {
-            TraceSet::Lte => 42,
-            TraceSet::Fcc => 4242,
-            TraceSet::FiveG => 424_242,
-            TraceSet::Satellite => 42_424_242,
-        }
-    }
-
-    /// Generate the corpus (fixed base seeds → fully reproducible). Most
-    /// callers should go through [`crate::engine::traces`], which memoizes
-    /// the result.
-    pub fn generate(self, count: usize) -> Vec<Trace> {
-        match self {
-            TraceSet::Lte => lte_traces(count, self.seed(), &LteConfig::default()),
-            TraceSet::Fcc => fcc_traces(count, self.seed(), &FccConfig::default()),
-            TraceSet::FiveG => fiveg_traces(count, self.seed(), &FiveGConfig::default()),
-            TraceSet::Satellite => {
-                satellite_traces(count, self.seed(), &SatelliteConfig::default())
-            }
-        }
-    }
-
-    /// The VMAF viewing model paired with this corpus: the cellular
-    /// regimes (LTE, 5G) score with the phone model as in §6.1; the
-    /// fixed-line regimes (FCC, satellite) with the TV model.
-    pub fn qoe_config(self) -> QoeConfig {
-        match self {
-            TraceSet::Lte | TraceSet::FiveG => QoeConfig::lte(),
-            TraceSet::Fcc | TraceSet::Satellite => QoeConfig::fcc(),
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceSet::Lte => "LTE",
-            TraceSet::Fcc => "FCC",
-            TraceSet::FiveG => "5G",
-            TraceSet::Satellite => "SAT",
-        }
-    }
 }
 
 /// Push one `(scheme, video)` summary to the active journal (no-op when no
@@ -377,6 +200,8 @@ mod tests {
 
     #[test]
     fn scheme_names_unique() {
+        // Experiment tables and the journal key rows by display name, so
+        // every scheme the harness runs must carry its own.
         let all = [
             SchemeKind::Cava,
             SchemeKind::CavaP1,
@@ -394,6 +219,7 @@ mod tests {
             SchemeKind::BolaEAvg,
             SchemeKind::BolaESeg,
         ];
+        assert_eq!(all, SchemeKind::ALL);
         let mut names: Vec<&str> = all.iter().map(|s| s.name()).collect();
         names.sort_unstable();
         names.dedup();
@@ -403,8 +229,8 @@ mod tests {
     #[test]
     fn parallel_runner_matches_serial() {
         let video = engine::video("ED-youtube-h264");
-        let traces = TraceSet::Lte.generate(6);
-        let qoe = TraceSet::Lte.qoe_config();
+        let traces = NetworkRegime::Lte.corpus(6, 42);
+        let qoe = NetworkRegime::Lte.corpus_qoe();
         let player = PlayerConfig::default();
         let parallel = run_scheme(SchemeKind::Rba, &video, &traces, &qoe, &player);
         // Serial reference with a fresh algorithm per session.
@@ -426,8 +252,8 @@ mod tests {
         // byte-identical metrics. MPC's throughput estimator is the
         // stateful part that leaked across sessions before.
         let video = engine::video("ED-ffmpeg-h264");
-        let traces = TraceSet::Lte.generate(7);
-        let qoe = TraceSet::Lte.qoe_config();
+        let traces = NetworkRegime::Lte.corpus(7, 42);
+        let qoe = NetworkRegime::Lte.corpus_qoe();
         let player = PlayerConfig::default();
         let factory: &(dyn Fn() -> Box<dyn abr_sim::AbrAlgorithm> + Sync) =
             &|| SchemeKind::Mpc.build(&video, qoe.vmaf_model);
@@ -439,36 +265,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_sets_generate_requested_count() {
-        assert_eq!(TraceSet::Lte.generate(7).len(), 7);
-        assert_eq!(TraceSet::Fcc.generate(3).len(), 3);
-        assert_eq!(TraceSet::FiveG.generate(3).len(), 3);
-        assert_eq!(TraceSet::Satellite.generate(2).len(), 2);
-    }
-
-    #[test]
-    fn trace_set_seeds_and_names_are_distinct() {
-        let all = [
-            TraceSet::Lte,
-            TraceSet::Fcc,
-            TraceSet::FiveG,
-            TraceSet::Satellite,
-        ];
-        let mut seeds: Vec<u64> = all.iter().map(|s| s.seed()).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), all.len());
-        let mut names: Vec<&str> = all.iter().map(|s| s.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), all.len());
-    }
-
-    #[test]
     fn metric_selectors_cover_qoe() {
         let video = engine::video("ED-youtube-h264");
-        let traces = TraceSet::Lte.generate(2);
-        let qoe = TraceSet::Lte.qoe_config();
+        let traces = NetworkRegime::Lte.corpus(2, 42);
+        let qoe = NetworkRegime::Lte.corpus_qoe();
         let sessions = run_scheme(
             SchemeKind::Bba1,
             &video,

@@ -34,7 +34,7 @@ pub mod journal;
 pub mod population;
 
 pub use harness::{
-    mean_of, metric_cdf, run_scheme, run_sessions, trace_count, Metric, SchemeKind, TraceSet,
+    mean_of, metric_cdf, run_scheme, run_sessions, trace_count, Metric, NetworkRegime, SchemeKind,
 };
 
 use std::path::PathBuf;

@@ -10,7 +10,7 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use abr_bench::engine::{self, run_grid_on};
-use abr_bench::harness::{SchemeKind, TraceSet};
+use abr_bench::harness::{NetworkRegime, SchemeKind};
 use abr_sim::metrics::QoeMetrics;
 use abr_sim::{PlayerConfig, QoeConfig};
 use std::collections::BTreeMap;
@@ -33,7 +33,7 @@ fn render(grid: &BTreeMap<SchemeKind, Vec<QoeMetrics>>) -> String {
 #[test]
 fn one_thread_and_eight_threads_render_identical_summaries() {
     let video = engine::video("ED-ffmpeg-h264");
-    let traces = engine::traces_n(TraceSet::Lte, 8);
+    let traces = engine::traces_n(NetworkRegime::Lte, 8);
     let qoe = QoeConfig::lte();
     let player = PlayerConfig::default();
     let schemes = [

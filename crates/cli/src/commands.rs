@@ -2,18 +2,14 @@
 
 use crate::args::Args;
 use abr_bench::journal::Stopwatch;
-use abr_pop::{MixConfig, PopConfig};
+use abr_pop::{MixConfig, NetworkRegime, PopConfig};
 use abr_serve::loadgen::{self, FaultConfig, LoadgenConfig};
 use abr_serve::replay::{self, Event, Recorder, ReplayPlayer};
-use abr_serve::scheme::{build_scheme, load_video, SCHEME_NAMES};
+use abr_serve::scheme::{build_scheme, load_video, SchemeKind};
 use abr_serve::store::{dataset_provider, StoreConfig};
 use abr_serve::{Server, ServerConfig};
 use abr_sim::metrics::{evaluate, QoeConfig};
 use abr_sim::{LiveConfig, PlayerConfig, Simulator};
-use net_trace::fcc::{fcc_traces, FccConfig};
-use net_trace::fiveg::{fiveg_traces, FiveGConfig};
-use net_trace::lte::{lte_traces, LteConfig};
-use net_trace::satellite::{satellite_traces, SatelliteConfig};
 use net_trace::Trace;
 use sim_report::TextTable;
 use std::net::SocketAddr;
@@ -23,33 +19,17 @@ use vbr_video::classify::cross_track_consistency;
 use vbr_video::quality::VmafModel;
 use vbr_video::{ChunkClass, Classification, Dataset, Manifest};
 
-/// Generate `count` traces of `kind`. The four kinds are the seeded
-/// generators in `net-trace`: the paper's `lte`/`fcc` corpora plus the
-/// extension regimes `5g` (mmWave peaks, blockage collapses) and
-/// `satellite` (GEO: smooth rates, long rain fades, ~550 ms RTT).
-fn traces_of_kind(kind: &str, count: usize, seed: u64) -> Result<Vec<Trace>, String> {
-    match kind {
-        "lte" => Ok(lte_traces(count, seed, &LteConfig::default())),
-        "fcc" => Ok(fcc_traces(count, seed, &FccConfig::default())),
-        "5g" => Ok(fiveg_traces(count, seed, &FiveGConfig::default())),
-        "satellite" => Ok(satellite_traces(count, seed, &SatelliteConfig::default())),
-        other => Err(format!(
-            "unknown trace kind {other:?} (lte, fcc, 5g, satellite)"
-        )),
-    }
+/// The trace kinds, `sep`-separated: every [`NetworkRegime`] name.
+pub fn trace_kinds(sep: &str) -> String {
+    NetworkRegime::ALL.map(|r| r.name()).join(sep)
 }
 
-/// QoE config paired with a trace kind: mobile regimes score with the
-/// phone viewing model, fixed-link regimes with the TV model (mirrors the
-/// bench harness pairing).
-fn qoe_of_kind(kind: &str) -> Result<QoeConfig, String> {
-    match kind {
-        "lte" | "5g" => Ok(QoeConfig::lte()),
-        "fcc" | "satellite" => Ok(QoeConfig::fcc()),
-        other => Err(format!(
-            "unknown trace kind {other:?} (lte, fcc, 5g, satellite)"
-        )),
-    }
+/// The regime named `kind`: the paper's `lte`/`fcc` corpora or the
+/// extension regimes `5g` (mmWave peaks, blockage collapses) and
+/// `satellite` (GEO: smooth rates, long rain fades, ~550 ms RTT).
+fn regime(kind: &str) -> Result<NetworkRegime, String> {
+    NetworkRegime::from_name(kind)
+        .ok_or_else(|| format!("unknown trace kind {kind:?} ({})", trace_kinds(", ")))
 }
 
 fn trace_set(args: &Args) -> Result<(Vec<Trace>, QoeConfig), String> {
@@ -58,8 +38,8 @@ fn trace_set(args: &Args) -> Result<(Vec<Trace>, QoeConfig), String> {
     if count == 0 {
         return Err("--traces must be at least 1".to_string());
     }
-    let kind = args.flag("set").unwrap_or("lte");
-    Ok((traces_of_kind(kind, count, seed)?, qoe_of_kind(kind)?))
+    let regime = regime(args.flag("set").unwrap_or("lte"))?;
+    Ok((regime.corpus(count, seed), regime.corpus_qoe()))
 }
 
 /// `cava list-videos`
@@ -76,12 +56,12 @@ pub fn list_videos(argv: &[String]) -> Result<(), String> {
         "top track",
         "avg Mbps (top)",
     ]);
-    for spec in Dataset::specs() {
-        let video = spec.build();
+    for name in Dataset::names() {
+        let video = load_video(&name)?;
         let top = video.track(video.n_tracks() - 1);
         table.add_row(vec![
-            spec.name.clone(),
-            spec.genre.name().to_string(),
+            name,
+            video.genre().name().to_string(),
             video.codec().name().to_string(),
             video.n_chunks().to_string(),
             format!("{}", video.chunk_duration()),
@@ -90,7 +70,6 @@ pub fn list_videos(argv: &[String]) -> Result<(), String> {
         ]);
     }
     print!("{table}");
-    println!("variants: ED-ffmpeg-h264-cap4x (§3.3), ED-ffmpeg-h264-cbr (CBR comparison)");
     Ok(())
 }
 
@@ -156,7 +135,8 @@ pub fn characterize(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `cava run <video> <scheme> [--traces N] [--set lte|fcc] [--seed S] [--live H] [--err F]`
+/// `cava run <video> <scheme> [--traces N] [--set KIND] [--seed S] [--live H] [--err F]`
+/// where `KIND` is one of [`trace_kinds`].
 pub fn run(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     args.ensure_known_flags(&["traces", "set", "seed", "live", "err"])?;
@@ -232,7 +212,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `cava compare <video> [--traces N] [--set lte|fcc]`
+/// `cava compare <video> [--traces N] [--set KIND] [--seed S]`
 pub fn compare(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     args.ensure_known_flags(&["traces", "set", "seed"])?;
@@ -252,8 +232,8 @@ pub fn compare(argv: &[String]) -> Result<(), String> {
         "qual chg",
         "MB",
     ]);
-    for name in SCHEME_NAMES {
-        let mut algo = build_scheme(name, &video, qoe.vmaf_model)?;
+    for kind in SchemeKind::ALL {
+        let mut algo = kind.build(&video, qoe.vmaf_model);
         let mut acc = [0.0f64; 6];
         for trace in &traces {
             let session = sim.run(algo.as_mut(), &manifest, trace);
@@ -298,12 +278,13 @@ pub fn export_mpd(argv: &[String]) -> Result<(), String> {
 }
 
 /// `cava gen-traces <kind> <count> <dir> [--format csv|json|mahimahi] [--seed S]`
-/// where `<kind>` is `lte`, `fcc`, `5g`, or `satellite`.
+/// where `<kind>` is one of [`trace_kinds`].
 pub fn gen_traces(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     args.ensure_known_flags(&["format", "seed"])?;
-    args.expect_positionals(3, "gen-traces <lte|fcc|5g|satellite> <count> <dir>")?;
-    let kind = args.positional(0, "lte|fcc|5g|satellite")?.to_string();
+    let kinds = trace_kinds("|");
+    args.expect_positionals(3, &format!("gen-traces <{kinds}> <count> <dir>"))?;
+    let kind = args.positional(0, &kinds)?.to_string();
     let count: usize = args
         .positional(1, "count")?
         .parse()
@@ -313,7 +294,7 @@ pub fn gen_traces(argv: &[String]) -> Result<(), String> {
     }
     let dir = std::path::PathBuf::from(args.positional(2, "dir")?);
     let seed: u64 = args.flag_parsed("seed", 42)?;
-    let traces = traces_of_kind(&kind, count, seed)?;
+    let traces = regime(&kind)?.corpus(count, seed);
     let format = args.flag("format").unwrap_or("csv");
     match format {
         "csv" => {
@@ -341,7 +322,7 @@ pub fn gen_traces(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `cava inspect <video> <scheme> [--seed S] [--set lte|fcc] [--json FILE]`
+/// `cava inspect <video> <scheme> [--seed S] [--set KIND] [--json FILE]`
 pub fn inspect(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     args.ensure_known_flags(&["seed", "set", "json"])?;
@@ -349,13 +330,8 @@ pub fn inspect(argv: &[String]) -> Result<(), String> {
     let video = load_video(args.positional(0, "video")?)?;
     let scheme_name = args.positional(1, "scheme")?.to_string();
     let seed: u64 = args.flag_parsed("seed", 42)?;
-    let kind = args.flag("set").unwrap_or("lte");
-    let (trace, qoe) = (
-        traces_of_kind(kind, 1, seed)?
-            .pop()
-            .ok_or("trace generation produced nothing")?,
-        qoe_of_kind(kind)?,
-    );
+    let regime = regime(args.flag("set").unwrap_or("lte"))?;
+    let (trace, qoe) = (regime.trace(seed), regime.corpus_qoe());
     let manifest = Manifest::from_video(&video);
     let classification = Classification::from_video(&video);
     let mut algo = build_scheme(&scheme_name, &video, qoe.vmaf_model)?;
@@ -421,18 +397,19 @@ pub fn inspect(argv: &[String]) -> Result<(), String> {
 }
 
 /// `cava trace-stats <kind> [--traces N] [--seed S]`
-/// where `<kind>` is `lte`, `fcc`, `5g`, or `satellite`.
+/// where `<kind>` is one of [`trace_kinds`].
 pub fn trace_stats(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     args.ensure_known_flags(&["traces", "seed"])?;
-    args.expect_positionals(1, "trace-stats <lte|fcc|5g|satellite>")?;
-    let kind = args.positional(0, "lte|fcc|5g|satellite")?.to_string();
+    let kinds = trace_kinds("|");
+    args.expect_positionals(1, &format!("trace-stats <{kinds}>"))?;
+    let kind = args.positional(0, &kinds)?.to_string();
     let count: usize = args.flag_parsed("traces", 50)?;
     if count == 0 {
         return Err("--traces must be at least 1".to_string());
     }
     let seed: u64 = args.flag_parsed("seed", 42)?;
-    let traces = traces_of_kind(&kind, count, seed)?;
+    let traces = regime(&kind)?.corpus(count, seed);
     let means: Vec<f64> = traces.iter().map(|t| t.mean_bps() / 1e6).collect();
     let covs: Vec<f64> = traces
         .iter()

@@ -5,9 +5,9 @@
 //! ```text
 //! cava list-videos
 //! cava characterize <video>
-//! cava run <video> <scheme> [--traces N] [--set lte|fcc] [--seed S]
-//!                           [--live HEAD_CHUNKS] [--err FRACTION]
-//! cava compare <video> [--traces N] [--set lte|fcc]
+//! cava run <video> <scheme> [--traces N] [--set lte|fcc|5g|satellite]
+//!                           [--seed S] [--live HEAD_CHUNKS] [--err FRACTION]
+//! cava compare <video> [--traces N] [--set lte|fcc|5g|satellite] [--seed S]
 //! cava export-mpd <video> [--out FILE]
 //! cava gen-traces <lte|fcc|5g|satellite> <count> <dir> [--format csv|json|mahimahi]
 //! cava population [--sessions N] [--seed S] [--threads N] ...
@@ -19,24 +19,36 @@
 mod args;
 mod commands;
 
+use abr_serve::scheme::SchemeKind;
 use std::process::ExitCode;
 
-const USAGE: &str = "\
+/// The usage text; the scheme names and trace kinds come from the
+/// `SchemeKind` and `NetworkRegime` catalogs.
+fn usage() -> String {
+    let schemes: Vec<String> = SchemeKind::ALL
+        .map(SchemeKind::wire)
+        .chunks(8)
+        .map(|line| line.join(", "))
+        .collect();
+    let schemes = schemes.join(",\n    ");
+    let kinds = commands::trace_kinds("|");
+    format!(
+        "\
 cava — ABR streaming of VBR-encoded videos (CoNEXT '18 reproduction)
 
 USAGE:
     cava <COMMAND> [ARGS]
 
 COMMANDS:
-    list-videos                      list the 16-video dataset with stats
+    list-videos                      list the dataset videos with stats
     characterize <video>             §2/§3 characterization of one encoding
     run <video> <scheme>             stream one video across traces
-        [--traces N] [--set lte|fcc] [--seed S] [--live HEAD] [--err FRAC]
+        [--traces N] [--set KIND] [--seed S] [--live HEAD] [--err FRAC]
     inspect <video> <scheme>         one session in detail (per-chunk table,
-        [--seed S] [--set lte|fcc]    buffer timeline, optional --json FILE)
+        [--seed S] [--set KIND]       buffer timeline, optional --json FILE)
     trace-stats <kind> [--traces N] [--seed S]      corpus statistics
     compare <video>                  all schemes side by side
-        [--traces N] [--set lte|fcc]
+        [--traces N] [--set KIND] [--seed S]
     export-mpd <video> [--out FILE]  write the DASH MPD (stdout by default)
     gen-traces <kind> <count> <dir> [--format csv|json|mahimahi] [--seed S]
     population                       seeded viewer-population sweep with
@@ -63,21 +75,22 @@ ENVIRONMENT:
                                      (`--record` wins; see docs/REPLAY.md)
 
 SCHEMES:
-    cava, cava-p1, cava-p12, mpc, robustmpc, panda-max-sum, panda-max-min,
-    rba, bba1, pia, festive, bola, bola-e-peak, bola-e-avg, bola-e-seg
+    {schemes}
 
-TRACE KINDS (for --set, trace-stats, gen-traces):
+TRACE KINDS (--set KIND, trace-stats/gen-traces <kind>): {kinds}
     lte, fcc                         the paper's §6.1 corpora
     5g, satellite                    extension regimes: high-variance mmWave,
                                      GEO link (smooth, rain fades, ~550ms RTT)
 
 Video names come from `cava list-videos` (e.g. ED-ffmpeg-h264).
-";
+"
+    )
+}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first() else {
-        eprint!("{USAGE}");
+        eprint!("{}", usage());
         return ExitCode::FAILURE;
     };
     let result = match command.as_str() {
@@ -94,10 +107,10 @@ fn main() -> ExitCode {
         "loadgen" => commands::loadgen(&argv[1..]),
         "replay" => commands::replay(&argv[1..]),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            print!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+        other => Err(format!("unknown command {other:?}\n\n{}", usage())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

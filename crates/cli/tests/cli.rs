@@ -93,6 +93,34 @@ fn run_rejects_unknown_scheme_and_video() {
     let out = cava(&["run", "nope", "cava", "--traces", "1"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("unknown video"));
+    // Every regime is a valid --set, and an unknown one lists them all.
+    for set in ["5g", "satellite"] {
+        let out = cava(&[
+            "run",
+            "ED-youtube-h264",
+            "cava",
+            "--traces",
+            "1",
+            "--set",
+            set,
+        ]);
+        assert!(out.status.success(), "--set {set}: {}", stderr(&out));
+    }
+    let out = cava(&[
+        "run",
+        "ED-youtube-h264",
+        "cava",
+        "--traces",
+        "1",
+        "--set",
+        "dsl",
+    ]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.contains("unknown trace kind \"dsl\""), "{err}");
+    for kind in ["lte", "fcc", "5g", "satellite"] {
+        assert!(err.contains(kind), "{kind} missing from: {err}");
+    }
 }
 
 #[test]

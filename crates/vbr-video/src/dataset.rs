@@ -1,5 +1,6 @@
 //! The CoNEXT '18 dataset (§2): 16 videos — 8 encoded "by YouTube" and 8 "by
-//! FFmpeg" — plus the 4×-capped variant of §3.3.
+//! FFmpeg" — plus two Elephant Dream encoder variants: the 4×-capped
+//! encoding of §3.3 and a CBR encoding.
 //!
 //! | Group | Content | Codec | Chunks | Duration |
 //! |---|---|---|---|---|
@@ -128,6 +129,11 @@ const NATURE: (&str, Genre, u64) = ("Nature", Genre::Nature, 107);
 const ACTION: (&str, Genre, u64) = ("Action", Genre::Action, 108);
 
 const XIPH: [(&str, Genre, u64); 4] = [ED, BBB, TOS, SINTEL];
+
+/// The two Elephant Dream encoder variants outside the 16-video set: the
+/// §3.3 4×-capped encoding and the CBR comparison encoding.
+const CAP4X: &str = "ED-ffmpeg-h264-cap4x";
+const CBR: &str = "ED-ffmpeg-h264-cbr";
 const YOUTUBE_EXTRA: [(&str, Genre, u64); 4] = [SPORTS, ANIMAL, NATURE, ACTION];
 
 impl Dataset {
@@ -209,12 +215,26 @@ impl Dataset {
             .collect()
     }
 
-    /// Build one video by its full name (e.g. `"ED-ffmpeg-h264"`).
+    /// Every name [`Dataset::by_name`] resolves, without synthesizing
+    /// anything: the 16 [`Dataset::specs`] names, then the two encoder
+    /// variants `ED-ffmpeg-h264-cap4x` and `ED-ffmpeg-h264-cbr`.
+    pub fn names() -> Vec<String> {
+        let mut names: Vec<String> = Dataset::specs().into_iter().map(|s| s.name).collect();
+        names.extend([CAP4X, CBR].map(String::from));
+        names
+    }
+
+    /// Build one video by its full name (e.g. `"ED-ffmpeg-h264"`), including
+    /// the two encoder variants listed by [`Dataset::names`].
     pub fn by_name(name: &str) -> Option<Video> {
-        Dataset::specs()
-            .iter()
-            .find(|s| s.name == name)
-            .map(VideoSpec::build)
+        match name {
+            CAP4X => Some(Dataset::ed_ffmpeg_h264_cap4()),
+            CBR => Some(Dataset::ed_ffmpeg_h264_cbr()),
+            _ => Dataset::specs()
+                .iter()
+                .find(|s| s.name == name)
+                .map(VideoSpec::build),
+        }
     }
 
     /// The §3.3/§6.6 extra: Elephant Dream, FFmpeg H.264, 4×-capped.
@@ -234,7 +254,7 @@ impl Dataset {
     pub fn ed_ffmpeg_h264_cbr() -> Video {
         let ladder = Ladder::ffmpeg_h264();
         let cfg = EncoderConfig::cbr(EncoderSource::FFmpeg, ED.2);
-        Video::synthesize("ED-ffmpeg-h264-cbr", ED.1, 300, 2.0, &ladder, &cfg, ED.2)
+        Video::synthesize(CBR, ED.1, 300, 2.0, &ladder, &cfg, ED.2)
     }
 
     /// Elephant Dream, YouTube H.264 — used in Figs. 1–3.
@@ -260,6 +280,18 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 16, "duplicate video names");
+    }
+
+    #[test]
+    fn by_name_resolves_every_listed_name() {
+        let names = Dataset::names();
+        assert_eq!(names.len(), 18);
+        assert!(names.iter().any(|n| n == CAP4X) && names.iter().any(|n| n == CBR));
+        for name in &names {
+            let video = Dataset::by_name(name).unwrap();
+            assert_eq!(video.name(), name);
+        }
+        assert!(Dataset::by_name("no-such-video").is_none());
     }
 
     #[test]

@@ -22,8 +22,8 @@ fn main() {
     let n_traces: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(50);
     let video = Dataset::by_name(&video_name).unwrap_or_else(|| {
         eprintln!("unknown video {video_name:?}; available:");
-        for spec in Dataset::specs() {
-            eprintln!("  {}", spec.name);
+        for name in Dataset::names() {
+            eprintln!("  {name}");
         }
         std::process::exit(1);
     });
