@@ -202,6 +202,39 @@ fn r7_seeds_from_reactor_sweep_helpers() {
 }
 
 #[test]
+fn r7_reaches_the_session_core_from_the_store_decide_root() {
+    // The real abr-serve sources, with a probe allocation planted in the
+    // one per-session decision step the store and replay share.
+    let src_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../abr-serve/src");
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&src_dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let mut source = std::fs::read_to_string(&path).unwrap();
+        if name == "store.rs" {
+            let signature =
+                "pub(crate) fn decide(&mut self, request: &DecisionRequest) -> (DecisionResponse, bool) {";
+            assert!(source.contains(signature), "SessionState::decide moved");
+            source = source.replace(
+                signature,
+                &format!("{signature}\n        let _probe = vec![0u8; 1];"),
+            );
+        }
+        files.push((format!("crates/abr-serve/src/{name}"), source));
+    }
+    let hits = check_crate_hot_paths(&files);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert_eq!(hits[0].path, "crates/abr-serve/src/store.rs");
+    assert!(
+        hits[0]
+            .message
+            .contains("SessionStore::decide -> SessionState::decide"),
+        "witness chain in the message: {}",
+        hits[0].message
+    );
+}
+
+#[test]
 fn r7_without_markers_finds_nothing() {
     let files = vec![(
         "crates/x/src/a.rs".to_string(),

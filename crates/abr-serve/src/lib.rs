@@ -17,9 +17,10 @@
 //! * [`scheme`] — the scheme catalog ([`scheme::SchemeKind`]) and the
 //!   dataset video loader, shared with the CLI and the experiments.
 //! * [`store`] — the multi-tenant session store: per-session boxed
-//!   [`abr_sim::AbrAlgorithm`] state, shared manifest handles,
-//!   capacity-bounded admission with idle eviction and a stateless RBA
-//!   graceful-degradation fallback.
+//!   [`abr_sim::AbrAlgorithm`] state behind one decision step that replay
+//!   shares, shared manifest handles, capacity-bounded admission with idle
+//!   eviction and a stateless RBA graceful-degradation fallback, and every
+//!   session counter.
 //! * [`server`] — the TCP front end: the frame core, served by the
 //!   readiness-driven non-blocking [`reactor`] (a few threads multiplexing whole
 //!   fleets of nonblocking connections), with clean frame-level shutdown.
@@ -33,7 +34,8 @@
 //! * [`replay`] — deterministic record/replay: a versioned, length-prefixed
 //!   event log of every frame, store transition, and fault injection, plus a
 //!   [`replay::ReplayPlayer`] that re-executes recorded runs tick-for-tick
-//!   (`step_forward` / `seek_to_tick` / `diff`). Spec in `docs/REPLAY.md`.
+//!   through the store's own decision step (`step_forward` /
+//!   `seek_to_tick` / `diff`). Spec in `docs/REPLAY.md`.
 //!
 //! The crate reads no wall clock (it is in `abr-lint`'s simulation scope);
 //! latency measurement is injected by the caller as a monotonic
@@ -58,9 +60,7 @@ pub use replay::{
     ReplayPlayer, REPLAY_VERSION,
 };
 pub use server::{Backend, BoundServer, Server, ServerConfig};
-pub use store::{
-    DropOutcome, ResumeOutcome, SessionStore, StoreConfig, StoreError, VideoHandle, VideoProvider,
-};
+pub use store::{ResumeOutcome, SessionStore, StoreConfig, StoreError, VideoHandle, VideoProvider};
 
 use std::sync::{Mutex, MutexGuard};
 

@@ -530,7 +530,7 @@ fn reactor_thread(
                 }
                 Pump::Dead => {
                     let conn = conns.swap_remove(i);
-                    server.drop_connection(conn.id);
+                    server.store.drop_connection(conn.id);
                     progress = true;
                 }
             }
@@ -548,7 +548,7 @@ fn reactor_thread(
                             i += 1;
                         } else {
                             let conn = conns.swap_remove(i);
-                            server.drop_connection(conn.id);
+                            server.store.drop_connection(conn.id);
                         }
                     }
                 }

@@ -6,9 +6,12 @@
 //! client-side fault injections, and the logical tick each event happened
 //! on. The log is the run: feeding it back through a [`ReplayPlayer`]
 //! re-executes every recorded decision tick-for-tick against freshly built
-//! algorithm instances and checks the answers bit-for-bit, so any
-//! one-in-a-thousand chaos divergence becomes a replayable regression
-//! fixture instead of an anecdote.
+//! algorithm instances, through the store's own per-session decision step
+//! (`store::SessionState::decide`), and checks the answers bit-for-bit, so
+//! any one-in-a-thousand chaos divergence becomes a replayable regression
+//! fixture instead of an anecdote. The golden fixture under
+//! `tests/fixtures/` is one such log, kept as the oracle for the store
+//! and this player.
 //!
 //! The wire format mirrors [`crate::protocol`] deliberately: records are
 //! `[u32 length][u8 event-type][u64 tick][payload]`, all integers
@@ -37,9 +40,8 @@ use crate::protocol::{
     put_bool, put_f64, put_request, put_str, put_u32, put_u64, Cur, WireError, MAX_FRAME_LEN,
 };
 use crate::scheme;
-use crate::store::{VideoHandle, VideoProvider};
-use abr_baselines::Rba;
-use abr_sim::{AbrAlgorithm, DecisionRequest, DecisionResponse};
+use crate::store::{SessionState, VideoProvider};
+use abr_sim::{DecisionRequest, DecisionResponse};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io::{self, Write};
@@ -854,9 +856,9 @@ pub struct ReplaySummary {
     pub applied: usize,
     /// The player's current logical tick.
     pub current_tick: u64,
-    /// Decisions re-executed (retransmits excluded).
+    /// Decisions re-executed (cache-answered retransmits excluded).
     pub decisions: u64,
-    /// Retransmitted decisions verified against the cache.
+    /// Decisions the replayed retransmission cache answered.
     pub retransmits: u64,
     /// Fault injections seen.
     pub faults: u64,
@@ -874,25 +876,19 @@ pub struct ReplaySummary {
     pub divergences: usize,
 }
 
-struct ReplaySession {
-    video: VideoHandle,
-    /// `None` marks a degraded session, mirroring the store: every decide
-    /// is re-served by a fresh stateless RBA.
-    algo: Option<Box<dyn AbrAlgorithm + Send>>,
-    history: Vec<f64>,
-    decisions: u64,
-    last_request: Option<DecisionRequest>,
-    last_response: Option<DecisionResponse>,
-}
-
 /// Re-executes a recorded run tick-for-tick.
 ///
-/// The player replays at the **decision level**: `SessionOpened` rebuilds
-/// the session's algorithm through the same [`scheme::SchemeKind`] catalog
-/// the store used, and every recorded `Decision` re-runs `choose_level`
-/// against the recorded request, comparing the answer bit-for-bit with the
-/// recorded response. Store bookkeeping events (orphan/resume/evict/…)
-/// drive session lifetime; frame and fault events are verified counters.
+/// The player replays at the **decision level** with the store's own
+/// session core: `SessionOpened` builds a fresh `SessionState` (its
+/// algorithm from the same [`scheme::SchemeKind`] catalog the store used,
+/// none for a degraded admission), and every recorded `Decision` runs
+/// through `SessionState::decide`, the very step
+/// [`crate::store::SessionStore::decide`] takes. The returned level,
+/// degraded flag and retransmit flag must equal the recorded ones bit for
+/// bit, so a retransmit is checked against the replayed cache and a fresh
+/// request that repeats the last applied one is a divergence. Store
+/// bookkeeping events (orphan/resume/evict/…) drive session lifetime;
+/// frame and fault events are verified counters.
 ///
 /// Movement API (after the exemplar players this module cites in
 /// ROADMAP/PAPERS): [`ReplayPlayer::step_forward`] advances a number of
@@ -903,7 +899,7 @@ struct ReplaySession {
 pub struct ReplayPlayer {
     log: EventLog,
     provider: VideoProvider,
-    sessions: BTreeMap<u64, ReplaySession>,
+    sessions: BTreeMap<u64, SessionState>,
     /// Sessions whose open could not be replayed (unknown video/scheme in
     /// this environment); their decisions are skipped after the one
     /// divergence recorded at open.
@@ -1133,17 +1129,8 @@ impl ReplayPlayer {
                         }
                     }
                 };
-                self.sessions.insert(
-                    session_id,
-                    ReplaySession {
-                        video: handle,
-                        algo,
-                        history: Vec::new(),
-                        decisions: 0,
-                        last_request: None,
-                        last_response: None,
-                    },
-                );
+                self.sessions
+                    .insert(session_id, SessionState::new(handle, algo));
             }
             Event::Decision {
                 session_id,
@@ -1236,60 +1223,24 @@ impl ReplayPlayer {
             );
             return;
         };
-        if retransmit {
+        // The store's own decision step: a request the cache answers comes
+        // back flagged as a retransmit, and must have been recorded as one.
+        let (replayed, cached) = sess.decide(&request);
+        if cached {
             self.retransmits += 1;
-            let verdict = match (&sess.last_request, &sess.last_response) {
-                (Some(prev), Some(cached)) if request.is_retransmit_of(prev) => {
-                    if cached.level == recorded.level && cached.degraded == recorded.degraded {
-                        None
-                    } else {
-                        Some(format!(
-                            "retransmit served level {} (degraded {}), cache holds level {} (degraded {})",
-                            recorded.level, recorded.degraded, cached.level, cached.degraded
-                        ))
-                    }
-                }
-                _ => Some("retransmit recorded without a matching cached request".into()),
-            };
-            if let Some(what) = verdict {
-                self.diverge(index, tick, session_id, what);
-            }
-            return;
+        } else {
+            self.decisions += 1;
         }
-        // Mirror SessionStore::decide exactly: history grows by the
-        // newest observation, the context is rebuilt from the recorded
-        // request, and degraded sessions get a fresh stateless RBA.
-        sess.decisions += 1;
-        let replayed = match &mut sess.algo {
-            Some(algo) => {
-                if let Some(tp) = request.latest_throughput_bps {
-                    sess.history.push(tp);
-                }
-                let ctx = request.context(&sess.video.manifest, &sess.history);
-                DecisionResponse {
-                    level: algo.choose_level(&ctx),
-                    degraded: false,
-                }
-            }
-            None => {
-                let mut fallback = Rba::paper_default();
-                let ctx = request.context(&sess.video.manifest, &[]);
-                DecisionResponse {
-                    level: fallback.choose_level(&ctx),
-                    degraded: true,
-                }
-            }
-        };
-        sess.last_request = Some(request);
-        sess.last_response = Some(replayed);
-        self.decisions += 1;
-        if replayed.level != recorded.level || replayed.degraded != recorded.degraded {
+        if (replayed.level, replayed.degraded, cached)
+            != (recorded.level, recorded.degraded, retransmit)
+        {
             self.diverge(
                 index,
                 tick,
                 session_id,
                 format!(
-                    "recorded level {} (degraded {}), replay chose level {} (degraded {})",
+                    "recorded level {} (degraded {}, retransmit {retransmit}), \
+                     replay chose level {} (degraded {}, retransmit {cached})",
                     recorded.level, recorded.degraded, replayed.level, replayed.degraded
                 ),
             );
@@ -1764,6 +1715,157 @@ mod tests {
         let log = decode_log(&sink.contents()).unwrap();
         assert!(log.ended());
         assert_eq!(log.len(), every_event().len());
+    }
+
+    /// The `SessionOpened` event for session 1 on ED-youtube-h264.
+    fn opened(scheme: &str, degraded: bool) -> Event {
+        let handle = dataset_provider()("ED-youtube-h264").unwrap();
+        Event::SessionOpened {
+            conn: 1,
+            session_id: 1,
+            video: "ED-youtube-h264".into(),
+            scheme: scheme.into(),
+            vmaf_model: 0,
+            degraded,
+            n_tracks: handle.manifest.n_tracks() as u32,
+            n_chunks: handle.manifest.n_chunks() as u32,
+        }
+    }
+
+    fn request(chunk: usize) -> DecisionRequest {
+        DecisionRequest {
+            chunk_index: chunk,
+            buffer_s: chunk as f64 * 2.0,
+            estimated_bandwidth_bps: (chunk > 0).then_some(2.0e6),
+            last_level: (chunk > 0).then_some(1),
+            latest_throughput_bps: (chunk > 0).then_some(2.0e6),
+            wall_time_s: chunk as f64 * 4.0,
+            startup_complete: chunk > 0,
+            visible_chunks: 120,
+        }
+    }
+
+    /// A session state on ED-youtube-h264 as the store builds it.
+    fn state(scheme: &str, degraded: bool) -> SessionState {
+        let handle = dataset_provider()("ED-youtube-h264").unwrap();
+        let algo = (!degraded).then(|| {
+            scheme::build_scheme(scheme, &handle.video, vbr_video::quality::VmafModel::Tv).unwrap()
+        });
+        SessionState::new(handle, algo)
+    }
+
+    /// The `Decision` event `state` records for `request`.
+    fn decided(state: &mut SessionState, request: DecisionRequest) -> Event {
+        let (response, retransmit) = state.decide(&request);
+        Event::Decision {
+            session_id: 1,
+            retransmit,
+            request,
+            response,
+        }
+    }
+
+    #[test]
+    fn fresh_decision_repeating_the_last_request_is_a_divergence() {
+        // The store answers a bit-for-bit repeat from its cache and records
+        // it as a retransmit, so a log that calls it fresh did not come
+        // from the store.
+        let mut sess = state("cava", false);
+        let first = decided(&mut sess, request(0));
+        let Event::Decision { response, .. } = first else {
+            unreachable!("decided returns a Decision");
+        };
+        let events = vec![
+            opened("cava", false),
+            first,
+            Event::Decision {
+                session_id: 1,
+                retransmit: false,
+                request: request(0),
+                response,
+            },
+        ];
+        let player = verify(
+            decode_log(&encode_log(&events)).unwrap(),
+            dataset_provider(),
+        );
+        assert_eq!(player.divergences().len(), 1, "{:?}", player.divergences());
+        let d = player.first_divergence().unwrap();
+        assert_eq!(d.index, 2);
+        assert!(d.what.contains("retransmit false"), "{}", d.what);
+        assert!(d.what.contains("retransmit true"), "{}", d.what);
+    }
+
+    #[test]
+    fn recorded_retransmit_is_checked_against_the_cache_without_advancing_state() {
+        let mut sess = state("cava", false);
+        let mut events = vec![opened("cava", false)];
+        events.push(decided(&mut sess, request(0)));
+        events.push(decided(&mut sess, request(1)));
+        let retransmit = decided(&mut sess, request(1));
+        assert!(matches!(
+            retransmit,
+            Event::Decision {
+                retransmit: true,
+                ..
+            }
+        ));
+        events.push(retransmit);
+        let log = decode_log(&encode_log(&events)).unwrap();
+
+        let mut player = ReplayPlayer::new(log.clone(), dataset_provider());
+        player.step_forward(3);
+        let before = &player.sessions[&1];
+        let (decisions, history) = (before.decisions, before.history.clone());
+        assert_eq!(decisions, 2);
+        player.step_forward(1);
+        let after = &player.sessions[&1];
+        assert_eq!(after.decisions, decisions, "a retransmit is not a decision");
+        assert_eq!(after.history, history, "a retransmit adds no sample");
+        assert!(
+            player.divergences().is_empty(),
+            "{:?}",
+            player.divergences()
+        );
+        let summary = player.summary();
+        assert_eq!((summary.decisions, summary.retransmits), (2, 1));
+
+        // A retransmit whose recorded answer is not what the cache holds.
+        let mut perturbed = log;
+        let Event::Decision { response, .. } = &mut perturbed.events[3].event else {
+            unreachable!("event 3 is the retransmit");
+        };
+        response.level += 1;
+        let player = verify(perturbed, dataset_provider());
+        assert_eq!(player.divergences().len(), 1);
+        assert_eq!(player.first_divergence().unwrap().index, 3);
+    }
+
+    #[test]
+    fn degraded_open_then_decisions_replays_clean() {
+        let mut sess = state("cava", true);
+        let mut events = vec![opened("cava", true)];
+        for chunk in 0..5 {
+            events.push(decided(&mut sess, request(chunk)));
+        }
+        assert!(events[1..]
+            .iter()
+            .all(|e| matches!(e, Event::Decision { response, .. } if response.degraded)));
+        events.push(Event::SessionClosed {
+            session_id: 1,
+            decisions: 5,
+        });
+        let player = verify(
+            decode_log(&encode_log(&events)).unwrap(),
+            dataset_provider(),
+        );
+        assert!(
+            player.divergences().is_empty(),
+            "{:?}",
+            player.divergences()
+        );
+        assert_eq!(player.summary().decisions, 5);
+        assert_eq!(player.summary().open_sessions, 0);
     }
 
     #[test]

@@ -163,22 +163,15 @@ impl Default for ServerConfig {
     }
 }
 
+/// The server's own counters: connections and frames. Every session
+/// counter lives in the store ([`SessionStore::stats`]).
 #[derive(Default)]
 pub(crate) struct Counters {
     pub(crate) connections: AtomicU64,
-    pub(crate) peak_sessions: AtomicU64,
-    pub(crate) sessions_opened: AtomicU64,
-    pub(crate) sessions_closed: AtomicU64,
-    pub(crate) sessions_aborted: AtomicU64,
-    pub(crate) degraded_opens: AtomicU64,
-    pub(crate) decisions: AtomicU64,
-    pub(crate) degraded_decisions: AtomicU64,
     pub(crate) frames_in: AtomicU64,
     pub(crate) frames_out: AtomicU64,
     pub(crate) protocol_errors: AtomicU64,
     pub(crate) connections_reaped: AtomicU64,
-    pub(crate) sessions_orphaned: AtomicU64,
-    pub(crate) sessions_resumed: AtomicU64,
     pub(crate) sockopt_errors: AtomicU64,
 }
 
@@ -238,30 +231,18 @@ impl Server {
         })
     }
 
-    /// Current counter snapshot.
+    /// Current counter snapshot: the store's session counters plus the
+    /// server's connection and frame counters.
     pub fn stats(&self) -> StatsSnapshot {
         let c = &self.counters;
         StatsSnapshot {
             connections: c.connections.load(Ordering::Relaxed),
-            open_sessions: self.store.open_sessions() as u64,
-            peak_sessions: c.peak_sessions.load(Ordering::Relaxed),
-            sessions_opened: c.sessions_opened.load(Ordering::Relaxed),
-            sessions_closed: c.sessions_closed.load(Ordering::Relaxed),
-            // Orphans whose grace lapsed died without a close too — they
-            // fold into the aborted total.
-            sessions_aborted: c.sessions_aborted.load(Ordering::Relaxed)
-                + self.store.orphan_reaped_count(),
-            sessions_evicted: self.store.evicted_count(),
-            degraded_opens: c.degraded_opens.load(Ordering::Relaxed),
-            decisions: c.decisions.load(Ordering::Relaxed),
-            degraded_decisions: c.degraded_decisions.load(Ordering::Relaxed),
             frames_in: c.frames_in.load(Ordering::Relaxed),
             frames_out: c.frames_out.load(Ordering::Relaxed),
             protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
             connections_reaped: c.connections_reaped.load(Ordering::Relaxed),
-            sessions_orphaned: c.sessions_orphaned.load(Ordering::Relaxed),
-            sessions_resumed: c.sessions_resumed.load(Ordering::Relaxed),
             sockopt_errors: c.sockopt_errors.load(Ordering::Relaxed),
+            ..self.store.stats()
         }
     }
 
@@ -317,117 +298,49 @@ impl Server {
         frame: Frame,
         out: &mut Vec<u8>,
     ) -> Result<bool, WireError> {
-        let c = &self.counters;
-        match frame {
+        let reply = match frame {
             Frame::OpenSession {
                 session_id,
                 video,
                 scheme,
                 vmaf_model,
-            } => match self
+            } => self
                 .store
                 .open(conn, session_id, &video, &scheme, vmaf_model)
-            {
-                Ok(opened) => {
-                    c.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                    if opened.degraded {
-                        c.degraded_opens.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let open = self.store.open_sessions() as u64;
-                    c.peak_sessions.fetch_max(open, Ordering::Relaxed);
-                    self.send(
-                        conn,
-                        out,
-                        &Frame::OpenOk {
-                            session_id,
-                            degraded: opened.degraded,
-                            n_tracks: opened.n_tracks as u32,
-                            n_chunks: opened.n_chunks as u32,
-                        },
-                    )?;
-                }
-                Err(e) => self.send(
-                    conn,
-                    out,
-                    &Frame::Error {
-                        code: e.code(),
-                        message: e.to_string(),
-                    },
-                )?,
-            },
+                .map(|opened| Frame::OpenOk {
+                    session_id,
+                    degraded: opened.degraded,
+                    n_tracks: opened.n_tracks as u32,
+                    n_chunks: opened.n_chunks as u32,
+                }),
             Frame::Decide {
                 session_id,
                 request,
-            } => match self.store.decide(session_id, &request) {
-                Ok(response) => {
-                    c.decisions.fetch_add(1, Ordering::Relaxed);
-                    if response.degraded {
-                        c.degraded_decisions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.send(
-                        conn,
-                        out,
-                        &Frame::Decision {
-                            session_id,
-                            response,
-                        },
-                    )?;
-                }
-                Err(e) => self.send(
-                    conn,
-                    out,
-                    &Frame::Error {
-                        code: e.code(),
-                        message: e.to_string(),
-                    },
-                )?,
-            },
-            Frame::CloseSession { session_id } => match self.store.close(session_id) {
-                Ok(decisions) => {
-                    c.sessions_closed.fetch_add(1, Ordering::Relaxed);
-                    self.send(
-                        conn,
-                        out,
-                        &Frame::Closed {
-                            session_id,
-                            decisions,
-                        },
-                    )?;
-                }
-                Err(e) => self.send(
-                    conn,
-                    out,
-                    &Frame::Error {
-                        code: e.code(),
-                        message: e.to_string(),
-                    },
-                )?,
-            },
-            Frame::ResumeSession { session_id } => match self.store.resume(conn, session_id) {
-                Ok(resumed) => {
-                    c.sessions_resumed.fetch_add(1, Ordering::Relaxed);
-                    self.send(
-                        conn,
-                        out,
-                        &Frame::ResumeOk {
-                            session_id,
-                            degraded: resumed.degraded,
-                            decisions: resumed.decisions,
-                            n_tracks: resumed.n_tracks as u32,
-                            n_chunks: resumed.n_chunks as u32,
-                        },
-                    )?;
-                }
-                Err(e) => self.send(
-                    conn,
-                    out,
-                    &Frame::Error {
-                        code: e.code(),
-                        message: e.to_string(),
-                    },
-                )?,
-            },
-            Frame::StatsReq => self.send(conn, out, &Frame::StatsReply(self.stats()))?,
+            } => self
+                .store
+                .decide(session_id, &request)
+                .map(|response| Frame::Decision {
+                    session_id,
+                    response,
+                }),
+            Frame::CloseSession { session_id } => {
+                self.store.close(session_id).map(|decisions| Frame::Closed {
+                    session_id,
+                    decisions,
+                })
+            }
+            Frame::ResumeSession { session_id } => {
+                self.store
+                    .resume(conn, session_id)
+                    .map(|resumed| Frame::ResumeOk {
+                        session_id,
+                        degraded: resumed.degraded,
+                        decisions: resumed.decisions,
+                        n_tracks: resumed.n_tracks as u32,
+                        n_chunks: resumed.n_chunks as u32,
+                    })
+            }
+            Frame::StatsReq => Ok(Frame::StatsReply(self.stats())),
             Frame::Shutdown => {
                 self.send(conn, out, &Frame::ShutdownOk)?;
                 self.shutdown.store(true, Ordering::SeqCst);
@@ -435,10 +348,13 @@ impl Server {
             }
             // A second Hello, or any server→client frame, is a protocol
             // misuse but not a decode failure: answer and keep going.
-            other => {
-                self.send(conn, out, &unexpected_frame_error(&other))?;
-            }
-        }
+            other => Ok(unexpected_frame_error(&other)),
+        };
+        let reply = reply.unwrap_or_else(|e| Frame::Error {
+            code: e.code(),
+            message: e.to_string(),
+        });
+        self.send(conn, out, &reply)?;
         Ok(true)
     }
 
@@ -449,19 +365,6 @@ impl Server {
             code: ErrorCode::Timeout,
             message: "connection deadline exceeded; reaped".to_string(),
         }
-    }
-
-    /// Hand connection `conn`'s sessions back to the store and fold the
-    /// outcome into the counters. The reactor calls this exactly once per
-    /// dead connection.
-    pub(crate) fn drop_connection(&self, conn: u64) {
-        let dropped = self.store.drop_connection(conn);
-        self.counters
-            .sessions_aborted
-            .fetch_add(dropped.aborted, Ordering::Relaxed);
-        self.counters
-            .sessions_orphaned
-            .fetch_add(dropped.orphaned, Ordering::Relaxed);
     }
 }
 

@@ -1,22 +1,31 @@
 //! The multi-tenant session store.
 //!
-//! Each open session owns a boxed [`AbrAlgorithm`] plus its accumulated
-//! throughput history; the manifest is shared through a [`VideoHandle`]
-//! handed out by a memoizing [`VideoProvider`], so a thousand sessions on
-//! the same title share one synthesized video. Admission is
-//! capacity-bounded: at capacity the store first evicts sessions idle for
-//! more than [`StoreConfig::idle_ticks`] logical ticks, and if that frees
-//! nothing it still admits the session — in **degraded** mode, where every
-//! decide is answered by a fresh stateless RBA instance instead of
-//! erroring. Graceful degradation over hard failure, per the roadmap's
-//! overload posture.
+//! Each open session is one `SessionState`: a boxed [`AbrAlgorithm`], its
+//! accumulated throughput history, and the retransmission cache, stepped
+//! by `SessionState::decide`. The replay player steps the same type, so
+//! CAVR replay checks the code that served the run, not a copy of it. The
+//! manifest is shared through a [`VideoHandle`] handed out by a memoizing
+//! [`VideoProvider`], so a thousand sessions on the same title share one
+//! synthesized video. Admission is capacity-bounded: at capacity the store
+//! first reclaims orphans and then evicts sessions idle for more than
+//! [`StoreConfig::idle_ticks`] logical ticks, and if that frees nothing it
+//! still admits the session — in **degraded** mode, where every decide is
+//! answered by a fresh stateless RBA instead of erroring. Graceful
+//! degradation over hard failure, per the roadmap's overload posture.
+//!
+//! Every removal other than a close — orphan sweeps, orphan reclaim, idle
+//! eviction, and the aborts of a grace-0 connection drop — goes through
+//! one reclaim pass that walks the shards one lock at a time. The store
+//! also keeps every session counter the server reports (opened, closed,
+//! aborted, evicted, orphaned, resumed, degraded, decisions, peak); see
+//! [`SessionStore::stats`].
 //!
 //! Concurrency layout: the session map is **sharded** by
 //! `session_id % StoreConfig::shards`, each shard behind its own
 //! short-lived lock, so admission, resume, sweeps, and eviction on one
 //! session never contend with decisions on the rest of the fleet. Each
 //! session additionally carries its own lock held only for the duration of
-//! one `choose_level`. Decisions on different sessions proceed in
+//! one decision. Decisions on different sessions proceed in
 //! parallel; decisions on one session serialize, which is exactly the
 //! ordering the parity guarantee needs. Cross-shard bookkeeping (open
 //! count, parked-orphan count) lives in atomics: `open_sessions` is O(1)
@@ -25,9 +34,10 @@
 //! ever held at once. Idle-ness is measured in logical ticks (one per
 //! store operation), not wall time — this crate reads no clock.
 
+use crate::lock;
+use crate::protocol::{ErrorCode, StatsSnapshot};
 use crate::replay::{Event, Recorder};
 use crate::scheme::{self, SchemeKind};
-use crate::{lock, protocol::ErrorCode};
 use abr_baselines::Rba;
 use abr_sim::{AbrAlgorithm, DecisionRequest, DecisionResponse};
 use std::collections::BTreeMap;
@@ -180,28 +190,84 @@ pub struct ResumeOutcome {
     pub n_chunks: usize,
 }
 
-/// What a connection teardown did to the sessions it owned.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropOutcome {
-    /// Sessions removed outright (orphaning disabled).
-    pub aborted: u64,
-    /// Sessions parked ownerless, resumable within the grace window.
-    pub orphaned: u64,
-}
-
-struct SessionState {
-    video: VideoHandle,
+/// One session's decision state, and the one decision step over it.
+///
+/// The store keeps one behind each slot's lock, and the replay player
+/// keeps one per replayed session, so a recorded run is checked by the
+/// very code that served it.
+pub(crate) struct SessionState {
+    pub(crate) video: VideoHandle,
     /// `None` marks a degraded session: no per-session algorithm state,
     /// every decide is served by a fresh stateless RBA.
-    algo: Option<Box<dyn AbrAlgorithm + Send>>,
-    history: Vec<f64>,
-    decisions: u64,
+    pub(crate) algo: Option<Box<dyn AbrAlgorithm + Send>>,
+    pub(crate) history: Vec<f64>,
+    /// Decisions applied (retransmits answered from cache excluded).
+    pub(crate) decisions: u64,
     /// The last *applied* request and its answer, for retransmission
     /// dedup: a client resending the identical request after a reconnect
     /// gets the cached response instead of advancing algorithm state twice
     /// (see [`DecisionRequest::is_retransmit_of`]).
-    last_request: Option<DecisionRequest>,
-    last_response: Option<DecisionResponse>,
+    pub(crate) last_request: Option<DecisionRequest>,
+    pub(crate) last_response: Option<DecisionResponse>,
+}
+
+impl SessionState {
+    /// A fresh session on `video`; `algo: None` makes it degraded.
+    pub(crate) fn new(
+        video: VideoHandle,
+        algo: Option<Box<dyn AbrAlgorithm + Send>>,
+    ) -> SessionState {
+        // Sized for the whole playback up front: `decide` pushes one
+        // throughput sample per chunk, and a session serves at most
+        // `n_chunks` chunks, so the hot path never regrows it.
+        let history = Vec::with_capacity(video.manifest.n_chunks());
+        SessionState {
+            video,
+            algo,
+            history,
+            decisions: 0,
+            last_request: None,
+            last_response: None,
+        }
+    }
+
+    /// Serve one decision; the flag is true when the answer came from the
+    /// retransmission cache. A request that is a bit-for-bit retransmission
+    /// of the last applied one answers from cache without touching
+    /// algorithm state. Otherwise full sessions accumulate the request's
+    /// newest throughput observation and run their own algorithm, and
+    /// degraded sessions get a fresh stateless RBA.
+    pub(crate) fn decide(&mut self, request: &DecisionRequest) -> (DecisionResponse, bool) {
+        if let (Some(prev), Some(cached)) = (&self.last_request, self.last_response) {
+            if request.is_retransmit_of(prev) {
+                return (cached, true);
+            }
+        }
+        self.decisions += 1;
+        let response = match &mut self.algo {
+            Some(algo) => {
+                if let Some(tp) = request.latest_throughput_bps {
+                    self.history.push(tp);
+                }
+                let ctx = request.context(&self.video.manifest, &self.history);
+                DecisionResponse {
+                    level: algo.choose_level(&ctx),
+                    degraded: false,
+                }
+            }
+            None => {
+                let mut fallback = Rba::paper_default();
+                let ctx = request.context(&self.video.manifest, &[]);
+                DecisionResponse {
+                    level: fallback.choose_level(&ctx),
+                    degraded: true,
+                }
+            }
+        };
+        self.last_request = Some(*request);
+        self.last_response = Some(response);
+        (response, false)
+    }
 }
 
 /// Owner sentinel for an orphaned slot. Real connection ids are minted
@@ -215,6 +281,24 @@ struct SessionSlot {
     /// Tick of the slot's last use, for idle eviction and orphan grace.
     last_used: AtomicU64,
     state: Mutex<SessionState>,
+}
+
+/// The session half of [`StatsSnapshot`], as the store counts it.
+#[derive(Default)]
+struct Books {
+    opened: AtomicU64,
+    degraded_opens: AtomicU64,
+    peak: AtomicU64,
+    closed: AtomicU64,
+    /// Sessions removed by a grace-0 connection drop.
+    aborted: AtomicU64,
+    orphaned: AtomicU64,
+    orphan_reaped: AtomicU64,
+    resumed: AtomicU64,
+    evicted: AtomicU64,
+    /// Every decide answered, retransmits included.
+    decisions: AtomicU64,
+    degraded_decisions: AtomicU64,
 }
 
 /// The session store. All methods are `&self` and thread-safe.
@@ -232,8 +316,7 @@ pub struct SessionStore {
     /// clean path however many sessions are held.
     orphan_count: AtomicU64,
     tick: AtomicU64,
-    evicted: AtomicU64,
-    orphan_reaped: AtomicU64,
+    books: Books,
     /// Optional event recorder (see [`crate::replay`]). Transition events
     /// are recorded while the relevant lock is held, so the recorded order
     /// matches the order mutations were applied in; the recorder's own
@@ -263,8 +346,7 @@ impl SessionStore {
             open_count: AtomicU64::new(0),
             orphan_count: AtomicU64::new(0),
             tick: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            orphan_reaped: AtomicU64::new(0),
+            books: Books::default(),
             recorder,
         }
     }
@@ -292,38 +374,45 @@ impl SessionStore {
         }
     }
 
-    /// Reap orphaned slots in one shard whose grace window has lapsed.
-    fn sweep_shard_orphans(&self, map: &mut BTreeMap<u64, Arc<SessionSlot>>, tick: u64) {
-        let grace = self.config.orphan_grace_ticks;
-        let lapsed: Vec<u64> = map
-            .iter()
-            .filter(|(_, slot)| {
-                slot.owner.load(Ordering::Relaxed) == ORPHANED
-                    && tick.saturating_sub(slot.last_used.load(Ordering::Relaxed)) > grace
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        for id in lapsed {
-            if let Some(slot) = map.remove(&id) {
-                self.forget(&slot);
-                self.orphan_reaped.fetch_add(1, Ordering::Relaxed);
-                self.note(Event::OrphanReaped { session_id: id });
-            }
+    /// Remove every slot `doomed` picks, one shard lock at a time, counting
+    /// each in `counter` and recording `event(id)` under the shard lock.
+    /// Shards are visited in order and ids in ascending order within one.
+    fn reclaim(
+        &self,
+        counter: &AtomicU64,
+        doomed: impl Fn(&SessionSlot) -> bool,
+        event: impl Fn(u64) -> Event,
+    ) {
+        for shard in &self.shards {
+            lock(shard).retain(|&id, slot| {
+                if !doomed(slot) {
+                    return true;
+                }
+                self.forget(slot);
+                counter.fetch_add(1, Ordering::Relaxed);
+                self.note(event(id));
+                false
+            });
         }
     }
 
-    /// Reap lapsed orphans across all shards, one lock at a time. Runs on
-    /// every admission so orphans cannot accumulate unboundedly even
-    /// without capacity pressure — but exits immediately (no locks) while
-    /// no orphan exists.
+    /// Reap orphans whose grace window has lapsed. Runs on every admission
+    /// and connection drop so orphans cannot accumulate even without
+    /// capacity pressure — but exits at once (no locks) while no orphan
+    /// exists.
     fn sweep_orphans(&self, tick: u64) {
         if self.orphan_count.load(Ordering::Relaxed) == 0 {
             return;
         }
-        for shard in &self.shards {
-            let mut map = lock(shard);
-            self.sweep_shard_orphans(&mut map, tick);
-        }
+        let grace = self.config.orphan_grace_ticks;
+        self.reclaim(
+            &self.books.orphan_reaped,
+            |slot| {
+                slot.owner.load(Ordering::Relaxed) == ORPHANED
+                    && tick.saturating_sub(slot.last_used.load(Ordering::Relaxed)) > grace
+            },
+            |session_id| Event::OrphanReaped { session_id },
+        );
     }
 
     /// Admit a session for connection `conn`. Over capacity, idle sessions
@@ -331,7 +420,7 @@ impl SessionStore {
     /// admitted **degraded** rather than rejected.
     ///
     /// Admission allocates by design (scheme construction, the session
-    /// slot, reclaim scans) — it runs once per session, not per decision.
+    /// slot) — it runs once per session, not per decision.
     // abr-lint: cold — admission/reclaim path; the per-decision path is `decide`
     pub fn open(
         &self,
@@ -369,73 +458,47 @@ impl SessionStore {
             // Orphans are the cheapest reclaim under pressure: their
             // connection is already dead, so resume-after-eviction is a
             // clean typed UnknownSession, not lost live service.
-            for shard in &self.shards {
-                let mut map = lock(shard);
-                let orphans: Vec<u64> = map
-                    .iter()
-                    .filter(|(_, slot)| slot.owner.load(Ordering::Relaxed) == ORPHANED)
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in orphans {
-                    if let Some(slot) = map.remove(&id) {
-                        self.forget(&slot);
-                        self.orphan_reaped.fetch_add(1, Ordering::Relaxed);
-                        self.note(Event::OrphanReaped { session_id: id });
-                    }
-                }
-            }
+            self.reclaim(
+                &self.books.orphan_reaped,
+                |slot| slot.owner.load(Ordering::Relaxed) == ORPHANED,
+                |session_id| Event::OrphanReaped { session_id },
+            );
         }
         if at_capacity(self) {
             let threshold = self.config.idle_ticks;
-            for shard in &self.shards {
-                let mut map = lock(shard);
-                let evictable: Vec<u64> = map
-                    .iter()
-                    .filter(|(_, slot)| {
-                        // A slot whose state lock is held has a decision in
-                        // flight on another worker — never evict it mid-decide,
-                        // whatever its idle age claims.
-                        let in_flight = matches!(
-                            slot.state.try_lock(),
-                            Err(std::sync::TryLockError::WouldBlock)
-                        );
-                        !in_flight
-                            && tick.saturating_sub(slot.last_used.load(Ordering::Relaxed))
-                                > threshold
-                    })
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in evictable {
-                    if let Some(slot) = map.remove(&id) {
-                        self.forget(&slot);
-                        self.evicted.fetch_add(1, Ordering::Relaxed);
-                        self.note(Event::SessionEvicted { session_id: id });
-                    }
-                }
-            }
+            self.reclaim(
+                &self.books.evicted,
+                |slot| {
+                    // A slot whose state lock is held has a decision in
+                    // flight on another worker — never evict it mid-decide,
+                    // whatever its idle age claims.
+                    let in_flight = matches!(
+                        slot.state.try_lock(),
+                        Err(std::sync::TryLockError::WouldBlock)
+                    );
+                    !in_flight
+                        && tick.saturating_sub(slot.last_used.load(Ordering::Relaxed)) > threshold
+                },
+                |session_id| Event::SessionEvicted { session_id },
+            );
         }
         let degraded = at_capacity(self);
         let slot = Arc::new(SessionSlot {
             owner: AtomicU64::new(conn),
             last_used: AtomicU64::new(tick),
-            state: Mutex::new(SessionState {
-                video: handle,
-                algo: if degraded { None } else { Some(algo) },
-                // Sized for the whole playback up front: `decide` pushes
-                // one throughput sample per chunk, and a session serves at
-                // most `n_chunks` chunks, so the hot path never regrows it.
-                history: Vec::with_capacity(n_chunks),
-                decisions: 0,
-                last_request: None,
-                last_response: None,
-            }),
+            state: Mutex::new(SessionState::new(handle, (!degraded).then_some(algo))),
         });
         let mut map = lock(self.shard(session_id));
         if map.contains_key(&session_id) {
             return Err(StoreError::DuplicateSession(session_id));
         }
         map.insert(session_id, slot);
-        self.open_count.fetch_add(1, Ordering::Relaxed);
+        let open = self.open_count.fetch_add(1, Ordering::Relaxed) + 1;
+        self.books.opened.fetch_add(1, Ordering::Relaxed);
+        if degraded {
+            self.books.degraded_opens.fetch_add(1, Ordering::Relaxed);
+        }
+        self.books.peak.fetch_max(open, Ordering::Relaxed);
         self.note(Event::SessionOpened {
             conn,
             session_id,
@@ -472,6 +535,7 @@ impl SessionStore {
         slot.owner.store(conn, Ordering::Relaxed);
         slot.last_used.store(tick, Ordering::Relaxed);
         self.orphan_count.fetch_sub(1, Ordering::Relaxed);
+        self.books.resumed.fetch_add(1, Ordering::Relaxed);
         let state = lock(&slot.state);
         self.note(Event::SessionResumed {
             session_id,
@@ -486,9 +550,9 @@ impl SessionStore {
         })
     }
 
-    /// Serve one decision. Full sessions accumulate the request's newest
-    /// throughput observation and run their own algorithm; degraded
-    /// sessions get a fresh stateless RBA every time.
+    /// Serve one decision through the session's `SessionState::decide`:
+    /// full sessions run their own algorithm, degraded ones a fresh
+    /// stateless RBA.
     ///
     /// A request that is a bit-for-bit retransmission of the last applied
     /// one (a client retrying after its connection died mid round-trip)
@@ -508,53 +572,18 @@ impl SessionStore {
             .ok_or(StoreError::UnknownSession(session_id))?;
         slot.last_used.store(tick, Ordering::Relaxed);
         let mut state = lock(&slot.state);
-        if let (Some(prev), Some(cached)) = (&state.last_request, &state.last_response) {
-            if request.is_retransmit_of(prev) {
-                let cached = *cached;
-                self.note(Event::Decision {
-                    session_id,
-                    retransmit: true,
-                    request: *request,
-                    response: cached,
-                });
-                return Ok(cached);
-            }
+        let (response, retransmit) = state.decide(request);
+        self.books.decisions.fetch_add(1, Ordering::Relaxed);
+        if response.degraded {
+            self.books
+                .degraded_decisions
+                .fetch_add(1, Ordering::Relaxed);
         }
-        let SessionState {
-            video,
-            algo,
-            history,
-            decisions,
-            ..
-        } = &mut *state;
-        *decisions += 1;
-        let response = match algo {
-            Some(algo) => {
-                if let Some(tp) = request.latest_throughput_bps {
-                    history.push(tp);
-                }
-                let ctx = request.context(&video.manifest, history);
-                DecisionResponse {
-                    level: algo.choose_level(&ctx),
-                    degraded: false,
-                }
-            }
-            None => {
-                let mut fallback = Rba::paper_default();
-                let ctx = request.context(&video.manifest, &[]);
-                DecisionResponse {
-                    level: fallback.choose_level(&ctx),
-                    degraded: true,
-                }
-            }
-        };
-        state.last_request = Some(*request);
-        state.last_response = Some(response);
         // Recorded under the session's state lock: the log's per-session
         // decision order is exactly the order state advanced in.
         self.note(Event::Decision {
             session_id,
-            retransmit: false,
+            retransmit,
             request: *request,
             response,
         });
@@ -568,6 +597,7 @@ impl SessionStore {
             .remove(&session_id)
             .ok_or(StoreError::UnknownSession(session_id))?;
         self.forget(&slot);
+        self.books.closed.fetch_add(1, Ordering::Relaxed);
         let decisions = lock(&slot.state).decisions;
         self.note(Event::SessionClosed {
             session_id,
@@ -580,29 +610,15 @@ impl SessionStore {
     /// (resumable within [`StoreConfig::orphan_grace_ticks`] logical
     /// ticks) — or removed outright when the grace window is zero. Lapsed
     /// orphans from earlier disconnects are swept on the same pass.
-    pub fn drop_connection(&self, conn: u64) -> DropOutcome {
+    pub fn drop_connection(&self, conn: u64) {
         let tick = self.bump_tick();
-        let mut out = DropOutcome::default();
         if self.config.orphan_grace_ticks == 0 {
-            for shard in &self.shards {
-                let mut map = lock(shard);
-                let owned: Vec<u64> = map
-                    .iter()
-                    .filter(|(_, slot)| slot.owner.load(Ordering::Relaxed) == conn)
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in owned {
-                    if let Some(slot) = map.remove(&id) {
-                        self.forget(&slot);
-                        out.aborted += 1;
-                        self.note(Event::SessionAborted {
-                            session_id: id,
-                            conn,
-                        });
-                    }
-                }
-            }
-            return out;
+            self.reclaim(
+                &self.books.aborted,
+                |slot| slot.owner.load(Ordering::Relaxed) == conn,
+                |session_id| Event::SessionAborted { session_id, conn },
+            );
+            return;
         }
         for shard in &self.shards {
             let map = lock(shard);
@@ -611,7 +627,7 @@ impl SessionStore {
                     slot.owner.store(ORPHANED, Ordering::Relaxed);
                     slot.last_used.store(tick, Ordering::Relaxed);
                     self.orphan_count.fetch_add(1, Ordering::Relaxed);
-                    out.orphaned += 1;
+                    self.books.orphaned.fetch_add(1, Ordering::Relaxed);
                     self.note(Event::SessionOrphaned {
                         session_id: *id,
                         conn,
@@ -620,7 +636,6 @@ impl SessionStore {
             }
         }
         self.sweep_orphans(tick);
-        out
     }
 
     /// Sessions currently held. O(1): reads the cross-shard atomic count
@@ -631,13 +646,37 @@ impl SessionStore {
 
     /// Sessions reclaimed by idle eviction so far.
     pub fn evicted_count(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.books.evicted.load(Ordering::Relaxed)
     }
 
     /// Orphaned sessions reaped (grace lapsed or reclaimed under
     /// capacity pressure) so far.
     pub fn orphan_reaped_count(&self) -> u64 {
-        self.orphan_reaped.load(Ordering::Relaxed)
+        self.books.orphan_reaped.load(Ordering::Relaxed)
+    }
+
+    /// The session counters of a [`StatsSnapshot`]; the connection and
+    /// frame counters, which the server owns, are left at zero.
+    // abr-lint: cold — a counter snapshot per `StatsReq`, not per decision
+    pub fn stats(&self) -> StatsSnapshot {
+        let b = &self.books;
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        StatsSnapshot {
+            open_sessions: self.open_count.load(Ordering::Relaxed),
+            peak_sessions: get(&b.peak),
+            sessions_opened: get(&b.opened),
+            sessions_closed: get(&b.closed),
+            // Orphans reaped after their grace died without a close too,
+            // so they count as aborted.
+            sessions_aborted: get(&b.aborted) + get(&b.orphan_reaped),
+            sessions_evicted: get(&b.evicted),
+            degraded_opens: get(&b.degraded_opens),
+            decisions: get(&b.decisions),
+            degraded_decisions: get(&b.degraded_decisions),
+            sessions_orphaned: get(&b.orphaned),
+            sessions_resumed: get(&b.resumed),
+            ..StatsSnapshot::default()
+        }
     }
 }
 
@@ -777,16 +816,13 @@ mod tests {
         s.open(10, 1, "ED-youtube-h264", "cava", 0).unwrap();
         s.open(10, 2, "ED-youtube-h264", "bola", 0).unwrap();
         s.open(11, 3, "ED-youtube-h264", "rba", 0).unwrap();
-        assert_eq!(
-            s.drop_connection(10),
-            DropOutcome {
-                aborted: 2,
-                orphaned: 0,
-            }
-        );
+        s.drop_connection(10);
+        assert_eq!(s.stats().sessions_aborted, 2);
+        assert_eq!(s.stats().sessions_orphaned, 0);
         assert_eq!(s.open_sessions(), 1);
         assert!(s.decide(3, &first_request()).is_ok());
-        assert_eq!(s.drop_connection(10), DropOutcome::default());
+        s.drop_connection(10);
+        assert_eq!(s.stats().sessions_aborted, 2, "a second drop finds nothing");
     }
 
     #[test]
@@ -804,9 +840,9 @@ mod tests {
             interrupted.push(s.decide(100, &req).unwrap().level);
             control.push(s.decide(200, &req).unwrap().level);
         }
-        let dropped = s.drop_connection(1);
-        assert_eq!(dropped.orphaned, 2);
-        assert_eq!(dropped.aborted, 0);
+        s.drop_connection(1);
+        assert_eq!(s.stats().sessions_orphaned, 2);
+        assert_eq!(s.stats().sessions_aborted, 0);
         let resumed = s.resume(2, 100).unwrap();
         assert!(!resumed.degraded);
         assert_eq!(resumed.decisions, 3);
@@ -836,7 +872,8 @@ mod tests {
         // eviction gets a typed UnknownSession — never stale state.
         let s = store_grace(1, 0, 1_000_000);
         s.open(1, 1, "ED-youtube-h264", "cava", 0).unwrap();
-        assert_eq!(s.drop_connection(1).orphaned, 1);
+        s.drop_connection(1);
+        assert_eq!(s.stats().sessions_orphaned, 1);
         let out = s.open(2, 2, "ED-youtube-h264", "bola", 0).unwrap();
         assert!(!out.degraded, "orphan reclaim should free the slot");
         assert_eq!(s.orphan_reaped_count(), 1);
@@ -848,7 +885,8 @@ mod tests {
     fn lapsed_orphans_are_swept_on_admission() {
         let s = store_grace(8, 1_000_000, 2);
         s.open(1, 1, "ED-youtube-h264", "cava", 0).unwrap();
-        assert_eq!(s.drop_connection(1).orphaned, 1);
+        s.drop_connection(1);
+        assert_eq!(s.stats().sessions_orphaned, 1);
         // Each store operation is one logical tick; after the grace window
         // lapses the next admission sweeps the orphan.
         for i in 0..4 {
@@ -876,6 +914,117 @@ mod tests {
         );
     }
 
+    /// Every admitted session is closed, aborted, evicted or still held:
+    /// `opened == closed + aborted + evicted + open`.
+    fn assert_books_balance(s: &SessionStore) {
+        let st = s.stats();
+        assert_eq!(
+            st.sessions_opened,
+            st.sessions_closed + st.sessions_aborted + st.sessions_evicted + st.open_sessions,
+            "{st:?}"
+        );
+    }
+
+    /// Run one operation on store `$s`, then check its books.
+    macro_rules! step {
+        ($s:ident, $op:expr) => {{
+            let out = $op;
+            assert_books_balance(&$s);
+            out
+        }};
+    }
+
+    #[test]
+    fn books_balance_through_every_removal_with_orphaning() {
+        // Capacity 2, idle after 3 ticks, orphans lapse after 4 ticks; each
+        // store operation is one tick.
+        let s = store_grace(2, 3, 4);
+        step!(s, s.open(1, 1, "ED-youtube-h264", "cava", 0).unwrap());
+        step!(s, s.open(1, 2, "ED-youtube-h264", "bola", 0).unwrap());
+        step!(s, s.decide(1, &first_request()).unwrap());
+        // A retransmit: answered from cache, still a served decision.
+        step!(s, s.decide(1, &first_request()).unwrap());
+        // Full and nothing idle long enough: degraded admission.
+        step!(
+            s,
+            assert!(s.open(1, 3, "ED-youtube-h264", "rba", 0).unwrap().degraded)
+        );
+        step!(s, assert!(s.decide(3, &first_request()).unwrap().degraded));
+        // Orphan all three, resume one; the next admission reclaims the
+        // other two under capacity pressure.
+        step!(s, s.drop_connection(1));
+        step!(s, s.resume(2, 1).unwrap());
+        step!(
+            s,
+            assert!(!s.open(2, 4, "ED-youtube-h264", "cava", 0).unwrap().degraded)
+        );
+        assert_eq!(s.orphan_reaped_count(), 2);
+        for chunk in 0..5 {
+            step!(
+                s,
+                s.decide(4, &request_for_chunk(chunk, Some(2.5e6))).unwrap()
+            );
+        }
+        // Session 1 has idled past the threshold: evicted for session 5.
+        step!(
+            s,
+            assert!(!s.open(2, 5, "ED-youtube-h264", "bola", 0).unwrap().degraded)
+        );
+        assert_eq!(s.evicted_count(), 1);
+        // Orphan 4 and 5, resume 4; 5's grace lapses before the next open.
+        step!(s, s.drop_connection(2));
+        step!(s, s.resume(3, 4).unwrap());
+        for chunk in 5..9 {
+            step!(
+                s,
+                s.decide(4, &request_for_chunk(chunk, Some(2.5e6))).unwrap()
+            );
+        }
+        step!(s, assert_eq!(s.close(4).unwrap(), 9));
+        step!(s, s.open(3, 6, "ED-youtube-h264", "rba", 0).unwrap());
+        assert_eq!(s.orphan_reaped_count(), 3, "the lapsed orphan was swept");
+        step!(s, s.close(6).unwrap());
+
+        let st = s.stats();
+        assert_eq!(st.open_sessions, 0);
+        assert_eq!(st.peak_sessions, 3);
+        assert_eq!(
+            (st.sessions_opened, st.sessions_closed, st.sessions_aborted),
+            (6, 2, 3)
+        );
+        assert_eq!(
+            (st.sessions_orphaned, st.sessions_resumed, st.degraded_opens),
+            (5, 2, 1)
+        );
+        assert_eq!((st.decisions, st.degraded_decisions), (12, 1));
+    }
+
+    #[test]
+    fn books_balance_through_degraded_admission_and_grace_zero_aborts() {
+        let s = store_grace(2, 1_000_000, 0);
+        step!(s, s.open(1, 1, "ED-youtube-h264", "cava", 0).unwrap());
+        step!(s, s.open(1, 2, "ED-youtube-h264", "bola", 0).unwrap());
+        step!(
+            s,
+            assert!(s.open(2, 3, "ED-youtube-h264", "rba", 0).unwrap().degraded)
+        );
+        step!(s, s.decide(3, &first_request()).unwrap());
+        step!(s, s.decide(3, &first_request()).unwrap());
+        step!(s, s.drop_connection(1));
+        step!(
+            s,
+            assert_eq!(s.close(3).unwrap(), 1, "the retransmit is not counted")
+        );
+        let st = s.stats();
+        assert_eq!(
+            (st.sessions_opened, st.sessions_closed, st.sessions_aborted),
+            (3, 1, 2)
+        );
+        assert_eq!(st.sessions_orphaned, 0);
+        // Both decides were served, the retransmit from cache.
+        assert_eq!((st.decisions, st.degraded_decisions), (2, 2));
+    }
+
     /// Colliding (same shard) and adjacent (neighbor shard) session ids
     /// admitted, decided, orphaned, resumed, and closed concurrently must
     /// leave the books exact: the cross-shard atomic counts can never
@@ -901,8 +1050,7 @@ mod tests {
                     }
                     // Orphan all three, resume one, close it, leave the
                     // other two for the lapsed-orphan sweep.
-                    let dropped = s.drop_connection(worker + 1);
-                    assert_eq!(dropped.orphaned, 3);
+                    s.drop_connection(worker + 1);
                     s.resume(100 + worker, base).unwrap();
                     assert_eq!(s.close(base).unwrap(), 1);
                 }
@@ -917,6 +1065,10 @@ mod tests {
         assert_eq!(s.orphan_count.load(Ordering::Relaxed), 4 * 8 * 2);
         assert_eq!(s.evicted_count(), 0);
         assert_eq!(s.orphan_reaped_count(), 0);
+        let stats = s.stats();
+        assert_eq!(stats.sessions_orphaned, 4 * 8 * 3);
+        assert_eq!(stats.sessions_resumed, 4 * 8);
+        assert_eq!(stats.sessions_closed, 4 * 8);
     }
 
     /// Capacity-pressure reclaim racing admissions across shards: however

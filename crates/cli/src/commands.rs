@@ -34,11 +34,11 @@ fn regime(kind: &str) -> Result<NetworkRegime, String> {
 
 fn trace_set(args: &Args) -> Result<(Vec<Trace>, QoeConfig), String> {
     let count: usize = args.flag_parsed("traces", 50)?;
-    let seed: u64 = args.flag_parsed("seed", 42)?;
     if count == 0 {
         return Err("--traces must be at least 1".to_string());
     }
     let regime = regime(args.flag("set").unwrap_or("lte"))?;
+    let seed: u64 = args.flag_parsed("seed", regime.corpus_seed())?;
     Ok((regime.corpus(count, seed), regime.corpus_qoe()))
 }
 
@@ -293,8 +293,9 @@ pub fn gen_traces(argv: &[String]) -> Result<(), String> {
         return Err("count must be at least 1".to_string());
     }
     let dir = std::path::PathBuf::from(args.positional(2, "dir")?);
-    let seed: u64 = args.flag_parsed("seed", 42)?;
-    let traces = regime(&kind)?.corpus(count, seed);
+    let regime = regime(&kind)?;
+    let seed: u64 = args.flag_parsed("seed", regime.corpus_seed())?;
+    let traces = regime.corpus(count, seed);
     let format = args.flag("format").unwrap_or("csv");
     match format {
         "csv" => {
@@ -329,8 +330,8 @@ pub fn inspect(argv: &[String]) -> Result<(), String> {
     args.expect_positionals(2, "inspect <video> <scheme>")?;
     let video = load_video(args.positional(0, "video")?)?;
     let scheme_name = args.positional(1, "scheme")?.to_string();
-    let seed: u64 = args.flag_parsed("seed", 42)?;
     let regime = regime(args.flag("set").unwrap_or("lte"))?;
+    let seed: u64 = args.flag_parsed("seed", regime.corpus_seed())?;
     let (trace, qoe) = (regime.trace(seed), regime.corpus_qoe());
     let manifest = Manifest::from_video(&video);
     let classification = Classification::from_video(&video);
@@ -408,8 +409,9 @@ pub fn trace_stats(argv: &[String]) -> Result<(), String> {
     if count == 0 {
         return Err("--traces must be at least 1".to_string());
     }
-    let seed: u64 = args.flag_parsed("seed", 42)?;
-    let traces = regime(&kind)?.corpus(count, seed);
+    let regime = regime(&kind)?;
+    let seed: u64 = args.flag_parsed("seed", regime.corpus_seed())?;
+    let traces = regime.corpus(count, seed);
     let means: Vec<f64> = traces.iter().map(|t| t.mean_bps() / 1e6).collect();
     let covs: Vec<f64> = traces
         .iter()
@@ -630,10 +632,11 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
         )
     })?;
     let defaults = LoadgenConfig::default();
+    let seed: u64 = args.flag_parsed("seed", defaults.seed)?;
     let config = LoadgenConfig {
         sessions: args.flag_parsed("sessions", 200)?,
         connections: args.flag_parsed("connections", defaults.connections)?,
-        seed: args.flag_parsed("seed", defaults.seed)?,
+        seed,
         videos: args.flag("videos").map(csv_list).unwrap_or(defaults.videos),
         schemes: args
             .flag("schemes")
@@ -669,7 +672,7 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
         population: {
             let viewers: usize = args.flag_parsed("population", 0)?;
             (viewers > 0).then(|| PopConfig {
-                seed: args.flag_parsed("seed", defaults.seed).unwrap_or(42),
+                seed,
                 sessions: viewers,
                 ..PopConfig::default()
             })

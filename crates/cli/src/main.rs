@@ -69,6 +69,12 @@ COMMANDS:
         [--seek TICK] [--diff OTHER]  (record with `serve --record FILE`;
                                       exits nonzero on any divergence)
 
+TRACE SEEDS:
+    For run, inspect, trace-stats, compare and gen-traces, `--seed S` is
+    the base seed of the trace corpus. It defaults to the regime's corpus
+    seed (lte 42, fcc 4242, 5g 424242, satellite 42424242), so the default
+    corpus is the one the experiments use.
+
 ENVIRONMENT:
     ABR_SERVE_THREADS                default worker count for `serve`
     ABR_SERVE_RECORD                 default `serve` event-log path

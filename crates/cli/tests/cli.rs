@@ -71,6 +71,30 @@ fn run_cava_small() {
 }
 
 #[test]
+fn seed_defaults_to_the_regime_corpus_seed() {
+    // FCC's corpus seed is 4242: leaving `--seed` out must score the same
+    // corpus the experiments use for that regime.
+    for args in [
+        &[
+            "run",
+            "ED-youtube-h264",
+            "cava",
+            "--traces",
+            "3",
+            "--set",
+            "fcc",
+        ][..],
+        &["trace-stats", "fcc", "--traces", "3"][..],
+    ] {
+        let default = cava(args);
+        let explicit = cava(&[args, &["--seed", "4242"][..]].concat());
+        assert!(default.status.success(), "{}", stderr(&default));
+        assert!(explicit.status.success(), "{}", stderr(&explicit));
+        assert_eq!(stdout(&default), stdout(&explicit), "{args:?}");
+    }
+}
+
+#[test]
 fn run_live_mode() {
     let out = cava(&[
         "run",

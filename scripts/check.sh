@@ -152,6 +152,35 @@ echo "==> record -> replay -> diff smoke (docs/REPLAY.md)"
 ./target/release/cava replay "$REPLAY_LOG" --seek 1000
 ./target/release/cava replay "$REPLAY_LOG" --diff "$REPLAY_LOG"
 
+echo "==> capacity-pressure record -> replay smoke (36 held sessions, capacity 16)"
+# Twenty of the 36 held sessions are admitted degraded, so the store's
+# reclaim pass and the degraded decision path run on a multi-threaded
+# server; replay re-executes every decision through the same session
+# core and exits nonzero on any divergence.
+CAPACITY_LOG="results/check_capacity.replay"
+rm -f "$CAPACITY_LOG"
+PORT_FILE="$(mktemp)"
+rm -f "$PORT_FILE"
+./target/release/cava serve --addr 127.0.0.1:0 --threads 4 --capacity 16 \
+    --record "$CAPACITY_LOG" --port-file "$PORT_FILE" &
+SERVE_PID=$!
+tries=0
+while [ ! -s "$PORT_FILE" ]; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 200 ]; then
+        echo "serve never wrote its address" >&2
+        kill "$SERVE_PID" 2>/dev/null || true
+        exit 1
+    fi
+    sleep 0.05
+done
+./target/release/cava loadgen "$(cat "$PORT_FILE")" \
+    --sessions 36 --connections 4 --schemes cava,bola,rba \
+    --hold true --parity true --stop-server true
+wait "$SERVE_PID"
+rm -f "$PORT_FILE"
+./target/release/cava replay "$CAPACITY_LOG"
+
 echo "==> README throughput number matches committed BENCH_serve.json"
 # The README quotes the headline decisions/s; a re-baseline that forgets
 # the prose fails here. Compare on the integer part of the top-level
