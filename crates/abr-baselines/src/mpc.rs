@@ -16,8 +16,18 @@
 //! lower-bound trick that §6.3/§6.7 show trades a little quality for far
 //! fewer stalls under bad predictions.
 //!
-//! Plans are scored by the prefix-sharing search in [`crate::util`], which
-//! picks exactly the plan exhaustive per-plan scoring would.
+//! Plans are scored by the prefix-sharing branch and bound in
+//! [`crate::util`], which picks exactly the plan exhaustive per-plan scoring
+//! would. A prefix's bound is the leaf's own expression with one top-track
+//! quality added per remaining chunk, in the leaf's order, and the
+//! smoothness and rebuffer sums frozen at the prefix's values: both only
+//! grow along a plan, and f64 rounding is monotone, so with `λ ≥ 0` and
+//! `μ ≥ 0` no leaf below can score above it. The prefix is skipped when the
+//! bound is `≤` the best score so far, since a later leaf must beat that
+//! strictly. With a negative weight the penalties can raise a score, so
+//! such a configuration scores every plan.
+
+use std::ops::Range;
 
 use abr_sim::{AbrAlgorithm, DecisionContext};
 use net_trace::PredictionErrorTracker;
@@ -110,6 +120,12 @@ impl Mpc {
         Mpc::new(MpcConfig::robust_mpc())
     }
 
+    /// Plan step evaluations over every decision since construction (see
+    /// [`PlanSearch::steps`]).
+    pub fn plan_steps(&self) -> u64 {
+        self.search.steps()
+    }
+
     fn rebuffer_penalty(&self, ctx: &DecisionContext) -> f64 {
         self.config
             .rebuffer_penalty
@@ -162,13 +178,20 @@ impl AbrAlgorithm for Mpc {
         self.quality
             .extend((0..m.n_tracks()).map(|l| m.declared_bitrate(l) / 1.0e6));
         let prev_q = ctx.last_level.map(|l| self.quality[l]);
+        let lambda = self.config.smoothness_weight;
 
         self.search.prepare(m, start, horizon, bw);
         let mut plans = MpcPlans {
             quality: &self.quality,
+            q_max: self
+                .quality
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max),
             delta,
-            lambda: self.config.smoothness_weight,
+            lambda,
             mu,
+            bounded: lambda >= 0.0 && mu >= 0.0,
             best_score: f64::NEG_INFINITY,
             best_seq0: 0,
         };
@@ -204,9 +227,14 @@ struct MpcState {
 /// The MPC objective over one decision's plans, tracking the best plan.
 struct MpcPlans<'a> {
     quality: &'a [f64],
+    /// Largest quality term of any track.
+    q_max: f64,
     delta: f64,
     lambda: f64,
     mu: f64,
+    /// Both penalty weights are non-negative (false for NaN), so
+    /// [`PlanObjective::prune`]'s bound holds.
+    bounded: bool,
     best_score: f64,
     best_seq0: usize,
 }
@@ -240,6 +268,20 @@ impl PlanObjective for MpcPlans<'_> {
             self.best_score = score;
             self.best_seq0 = first;
         }
+    }
+
+    #[inline]
+    fn prune(&self, s: &MpcState, rest: Range<usize>) -> bool {
+        if !self.bounded {
+            return false;
+        }
+        let mut quality_sum = s.quality_sum;
+        for _ in rest {
+            quality_sum += self.q_max;
+        }
+        // The leaf's expression, term for term; a NaN bound never prunes.
+        let bound = quality_sum - self.lambda * s.smooth - self.mu * s.rebuffer;
+        bound <= self.best_score
     }
 }
 

@@ -14,6 +14,20 @@
 //! [`vbr_video::Manifest`] alone. It is constructed from the evaluation-side
 //! [`vbr_video::Video`] quality table — exactly the extra information the
 //! paper grants it — and still loses to CAVA, which is the paper's point.
+//!
+//! Plans are scored by the prefix-sharing branch and bound in
+//! [`crate::util`], which picks exactly the plan exhaustive per-plan scoring
+//! would. Until some plan is safe nothing is pruned, so the fallback sees
+//! every plan. After that a prefix is skipped when its buffer already fell
+//! below the margin (each of its plans is unsafe), or when its key bound is
+//! `≤` the best key in lexicographic order. The bound pairs the prefix's
+//! minimum with its quality sum plus each remaining chunk's best quality,
+//! added in the leaf's order. A plan's minimum can only fall and, f64
+//! rounding being monotone, its sum cannot exceed that bound. A
+//! componentwise bound also bounds the lexicographic order, and a later
+//! plan must beat the best key strictly.
+
+use std::ops::Range;
 
 use abr_sim::{AbrAlgorithm, DecisionContext};
 use vbr_video::quality::VmafModel;
@@ -63,6 +77,8 @@ pub struct PandaCq {
     search: PlanSearch,
     /// `window[k * n_tracks + level]` — quality of chunk `start + k`.
     window: Vec<f64>,
+    /// `row_max[k]` — best quality of chunk `start + k` at any level.
+    row_max: Vec<f64>,
 }
 
 impl PandaCq {
@@ -95,6 +111,7 @@ impl PandaCq {
             },
             search: PlanSearch::default(),
             window: Vec::new(),
+            row_max: Vec::new(),
         }
     }
 
@@ -116,6 +133,12 @@ impl PandaCq {
             PandaCqObjective::MaxMin,
             PandaCqConfig::default(),
         )
+    }
+
+    /// Plan step evaluations over every decision since construction (see
+    /// [`PlanSearch::steps`]).
+    pub fn plan_steps(&self) -> u64 {
+        self.search.steps()
     }
 }
 
@@ -139,10 +162,15 @@ impl AbrAlgorithm for PandaCq {
         let horizon = self.config.horizon.min(visible - start);
         let n = m.n_tracks();
         self.window.resize(horizon * n, 0.0);
+        self.row_max.resize(horizon, 0.0);
         for k in 0..horizon {
+            let mut best = f64::NEG_INFINITY;
             for l in 0..n {
-                self.window[k * n + l] = self.quality[l * self.n_chunks + start + k];
+                let q = self.quality[l * self.n_chunks + start + k];
+                self.window[k * n + l] = q;
+                best = best.max(q);
             }
+            self.row_max[k] = best;
         }
         self.search.prepare(m, start, horizon, bw);
 
@@ -152,6 +180,7 @@ impl AbrAlgorithm for PandaCq {
         // all-lowest plan in practice).
         let mut plans = PandaPlans {
             window: &self.window,
+            row_max: &self.row_max,
             n_levels: n,
             delta: m.chunk_duration(),
             safety: self.config.safety_buffer_s,
@@ -192,6 +221,7 @@ struct PandaState {
 /// plan and the least-violating fallback.
 struct PandaPlans<'a> {
     window: &'a [f64],
+    row_max: &'a [f64],
     n_levels: usize,
     delta: f64,
     safety: f64,
@@ -239,6 +269,26 @@ impl PlanObjective for PandaPlans<'_> {
                 self.fallback_seq0 = first;
             }
         }
+    }
+
+    #[inline]
+    fn prune(&self, s: &PandaState, rest: Range<usize>) -> bool {
+        if !self.any_safe {
+            return false;
+        }
+        if s.min_buf < self.safety {
+            return true;
+        }
+        let mut q_sum = s.q_sum;
+        for k in rest {
+            q_sum += self.row_max[k];
+        }
+        let bound = match self.objective {
+            PandaCqObjective::MaxSum => (q_sum, s.q_min),
+            PandaCqObjective::MaxMin => (s.q_min, q_sum),
+        };
+        // A NaN component never compares `<=`, so it never prunes.
+        bound <= self.best_key
     }
 }
 

@@ -2,16 +2,20 @@
 //!
 //! Edges are resolved in two tiers. A path call `Cur::new(..)` resolves
 //! against *qualified* names first: if some function's `Type::name`
-//! matches exactly, only those edges are added. Everything else — method
-//! calls `x.foo(..)`, bare calls `foo(..)`, and path calls with no
-//! qualified match (module paths, cross-crate types) — falls back to
-//! linking *every* function named `foo` in the same crate. The fallback
-//! over-approximates real dispatch (trait objects, shadowed free
-//! functions, same-named methods on different types all merge), which is
-//! exactly the right bias for rule R7: a function is considered hot if it
-//! *might* run under a hot-path root, and false edges are pruned
-//! explicitly with `// abr-lint: cold` markers or `abr-lint.allow`
-//! entries rather than silently dropped.
+//! matches exactly, only those edges are added. A path call whose
+//! qualifier names a type and has no such match (`Vec::new()`,
+//! `f64::max(..)`, a derived `Stats::default()`) calls a function the crate
+//! does not define, so it adds no edge. Everything else — method calls
+//! `x.foo(..)`, bare calls `foo(..)`, and path calls through a module
+//! (`util::foo(..)`), a trait implemented in the crate
+//! (`AbrAlgorithm::foo(..)`) or a one-letter generic parameter
+//! (`T::foo(..)`) — falls back to linking *every* function named `foo` in
+//! the same crate. The fallback over-approximates real dispatch (trait
+//! objects, shadowed free functions, same-named methods on different types
+//! all merge), which is exactly the right bias for rule R7: a function is
+//! considered hot if it *might* run under a hot-path root, and false edges
+//! are pruned explicitly with `// abr-lint: cold` markers or
+//! `abr-lint.allow` entries rather than silently dropped.
 //!
 //! Cross-crate edges are not followed — each crate roots its own hot set
 //! with its own markers (the decision path is marked in `core`,
@@ -50,6 +54,8 @@ pub struct CrateGraph<'a> {
     by_name: BTreeMap<&'a str, Vec<FnRef>>,
     /// qualified `Type::name` -> its functions (production code only).
     by_qualified: BTreeMap<&'a str, Vec<FnRef>>,
+    /// Traits some impl block of the crate implements.
+    traits: BTreeSet<&'a str>,
 }
 
 impl<'a> CrateGraph<'a> {
@@ -58,11 +64,13 @@ impl<'a> CrateGraph<'a> {
         let files: Vec<&'a ParsedFile> = files.into_iter().collect();
         let mut by_name: BTreeMap<&'a str, Vec<FnRef>> = BTreeMap::new();
         let mut by_qualified: BTreeMap<&'a str, Vec<FnRef>> = BTreeMap::new();
+        let mut traits = BTreeSet::new();
         for (fi, file) in files.iter().enumerate() {
             for (ii, f) in file.fns.iter().enumerate() {
                 if f.is_test {
                     continue;
                 }
+                traits.extend(f.trait_name.as_deref());
                 let r = FnRef { file: fi, item: ii };
                 by_name.entry(f.name.as_str()).or_default().push(r);
                 by_qualified
@@ -75,6 +83,7 @@ impl<'a> CrateGraph<'a> {
             files,
             by_name,
             by_qualified,
+            traits,
         }
     }
 
@@ -88,12 +97,18 @@ impl<'a> CrateGraph<'a> {
     /// exist, otherwise fall back to bare-name resolution on the last
     /// segment (conservative over-approximation).
     fn resolve(&self, callee: &str) -> &[FnRef] {
-        if callee.contains("::") {
-            if let Some(hits) = self.by_qualified.get(callee) {
-                return hits;
+        let bare = match callee.rsplit_once("::") {
+            Some((qualifier, bare)) => {
+                if let Some(hits) = self.by_qualified.get(callee) {
+                    return hits;
+                }
+                if names_type(qualifier) && !self.traits.contains(qualifier) {
+                    return &[];
+                }
+                bare
             }
-        }
-        let bare = callee.rsplit("::").next().unwrap_or(callee);
+            None => callee,
+        };
         self.by_name.get(bare).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -144,6 +159,19 @@ impl<'a> CrateGraph<'a> {
             })
             .collect()
     }
+}
+
+/// Whether a call path's qualifier names a type rather than a module: a
+/// primitive, or a capitalized name longer than one letter (a single
+/// capital is read as a generic parameter, whose calls may reach any
+/// implementation in the crate).
+fn names_type(qualifier: &str) -> bool {
+    const PRIMITIVES: &[&str] = &[
+        "bool", "char", "str", "f32", "f64", "i8", "i16", "i32", "i64", "i128", "isize", "u8",
+        "u16", "u32", "u64", "u128", "usize",
+    ];
+    PRIMITIVES.contains(&qualifier)
+        || (qualifier.len() > 1 && qualifier.starts_with(|c: char| c.is_ascii_uppercase()))
 }
 
 #[cfg(test)]
@@ -231,6 +259,55 @@ mod tests {
         // `util::helper` has no qualified match (free fn in another file),
         // so the bare-name fallback keeps the real edge.
         assert_eq!(graph.hot_set().len(), 2);
+    }
+
+    /// Qualified names of the hot set of `sources`.
+    fn hot_quals(sources: &[&str]) -> Vec<String> {
+        let files = parse_all(sources);
+        let graph = CrateGraph::build(&files);
+        graph
+            .hot_set()
+            .iter()
+            .map(|h| graph.item(h.fn_ref).qualified.clone())
+            .collect()
+    }
+
+    #[test]
+    fn std_type_path_calls_add_no_edges() {
+        // `Vec::new` is not the crate's `Conn::new`.
+        let quals = hot_quals(&[
+            "struct Conn; impl Conn { fn new() -> Conn { Conn } }\n// abr-lint: hot-path\nfn root() { Vec::new(); }\n",
+        ]);
+        assert_eq!(quals, ["root"]);
+    }
+
+    #[test]
+    fn primitive_path_calls_add_no_edges() {
+        // `f64::max` is not the crate's `Window::max`.
+        let quals = hot_quals(&[
+            "struct Window; impl Window { fn max(&self) -> f64 { 0.0 } }\n// abr-lint: hot-path\nfn root(a: f64) -> f64 { f64::max(a, 1.0) }\n",
+        ]);
+        assert_eq!(quals, ["root"]);
+    }
+
+    #[test]
+    fn derived_function_of_a_crate_type_adds_no_edges() {
+        // `Stats` derives `Default`; the crate's only `default` belongs to
+        // another type.
+        let quals = hot_quals(&[
+            "#[derive(Default)]\nstruct Stats { n: u64 }\nimpl Stats { fn bump(&mut self) {} }\n",
+            "struct Config; impl Default for Config { fn default() -> Config { Config } }\n// abr-lint: hot-path\nfn root() { Stats::default(); }\n",
+        ]);
+        assert_eq!(quals, ["root"]);
+    }
+
+    #[test]
+    fn trait_and_generic_path_calls_fall_back_to_bare_name() {
+        let quals = hot_quals(&[
+            "trait Algo { fn pick(&self) -> usize; }\nstruct A; impl Algo for A { fn pick(&self) -> usize { 1 } }\n",
+            "// abr-lint: hot-path\nfn root(a: &A) { Algo::pick(a); }\nstruct B; impl B { fn make() {} }\n// abr-lint: hot-path\nfn generic<T>() { T::make(); }\n",
+        ]);
+        assert_eq!(quals, ["A::pick", "root", "B::make", "generic"]);
     }
 
     #[test]

@@ -53,6 +53,9 @@ pub struct FnItem {
     /// Qualified name for diagnostics (`SessionStore::decide` inside an
     /// impl block, else the bare name).
     pub qualified: String,
+    /// Trait the enclosing impl block implements (`AbrAlgorithm` for a
+    /// function in `impl AbrAlgorithm for Rba`).
+    pub trait_name: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub start_line: usize,
     /// 1-based line of the body's closing brace.
@@ -194,15 +197,16 @@ impl ParsedFile {
         let end_line = self.line_of(close);
         let is_test = self.test_mask.get(start_line - 1).copied().unwrap_or(false);
         let (hot_marker, cold_marker) = markers_for(&self.raw_lines, start_line);
-        let qualified = impls
-            .iter()
-            .find(|(_, _, (a, b))| fn_at > *a && fn_at < *b)
+        let enclosing = impls.iter().find(|(_, _, (a, b))| fn_at > *a && fn_at < *b);
+        let qualified = enclosing
             .map(|(self_type, _, _)| format!("{self_type}::{name}"))
             .unwrap_or_else(|| name.clone());
+        let trait_name = enclosing.and_then(|(_, t, _)| t.clone());
         let calls = extract_calls(&stripped[open..=close]);
         Some(FnItem {
             name,
             qualified,
+            trait_name,
             start_line,
             end_line,
             body: (open, close),
@@ -808,6 +812,9 @@ mod tests {
         let src = "impl AbrAlgorithm for Rba<'_> {\n    fn choose_level(&mut self) -> usize { pick() }\n}\n";
         let p = ParsedFile::parse(src);
         assert_eq!(p.fns[0].qualified, "Rba::choose_level");
+        assert_eq!(p.fns[0].trait_name.as_deref(), Some("AbrAlgorithm"));
+        let p = ParsedFile::parse("impl Rba { fn new() -> Rba { Rba } }\n");
+        assert_eq!(p.fns[0].trait_name, None);
     }
 
     #[test]

@@ -208,6 +208,19 @@ POP_DIR="$(mktemp -d)"
 cmp "$POP_DIR/pop-t1.csv" "$POP_DIR/pop-t8.csv"
 rm -rf "$POP_DIR"
 
+echo "==> Fig. 8 decision identity (fresh fig08*.csv byte-identical to results/)"
+# The committed Fig. 8 CSVs match the code, and the MPC family's plan
+# search drives four of their five schemes, so any decision that changes
+# changes a byte here. cmp is the gate.
+cargo build -q --release -p abr-bench --bin exp
+FIG08_DIR="$(mktemp -d)"
+RESULTS_DIR="$FIG08_DIR" ./target/release/exp fig08 > /dev/null
+for csv in fig08a_q4_quality.csv fig08b_low_quality_pct.csv fig08c_rebuffering.csv \
+    fig08d_quality_change.csv fig08e_relative_data_usage.csv; do
+    cmp "results/$csv" "$FIG08_DIR/$csv"
+done
+rm -rf "$FIG08_DIR"
+
 echo "==> bench perf gate (fresh BENCH_*.json vs committed, tolerance ${BENCH_TOLERANCE}%)"
 # Re-run the perf-tracked experiments into a scratch directory and diff
 # the fresh documents against the committed trajectory with bench_gate
