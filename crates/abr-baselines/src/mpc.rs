@@ -16,7 +16,7 @@
 //! lower-bound trick that §6.3/§6.7 show trades a little quality for far
 //! fewer stalls under bad predictions.
 //!
-//! Plans are scored by the prefix-sharing branch and bound in
+//! Plans are scored by the warm-started, prefix-sharing branch and bound in
 //! [`crate::util`], which picks exactly the plan exhaustive per-plan scoring
 //! would. A prefix's bound is the leaf's own expression with one top-track
 //! quality added per remaining chunk, in the leaf's order, and the
@@ -24,8 +24,12 @@
 //! grow along a plan, and f64 rounding is monotone, so with `λ ≥ 0` and
 //! `μ ≥ 0` no leaf below can score above it. The prefix is skipped when the
 //! bound is `≤` the best score so far, since a later leaf must beat that
-//! strictly. With a negative weight the penalties can raise a score, so
-//! such a configuration scores every plan.
+//! strictly, or when it is strictly `<` the best seed plan's score (the
+//! constant plans and the previous decision's plan shifted one chunk on).
+//! Only `<` is safe against a seed: the seed may come after a plan that
+//! ties it in lexicographic order, and that earlier plan must still be
+//! found. With a negative weight the penalties can raise a score, so such a
+//! configuration walks no seeds and scores every plan.
 
 use std::ops::Range;
 
@@ -192,8 +196,8 @@ impl AbrAlgorithm for Mpc {
             lambda,
             mu,
             bounded: lambda >= 0.0 && mu >= 0.0,
+            seed_score: f64::NEG_INFINITY,
             best_score: f64::NEG_INFINITY,
-            best_seq0: 0,
         };
         let root = MpcState {
             buf: ctx.buffer_s,
@@ -202,8 +206,7 @@ impl AbrAlgorithm for Mpc {
             smooth: 0.0,
             prev_q,
         };
-        self.search.search(root, &mut plans);
-        plans.best_seq0
+        self.search.search(root, &mut plans)[0]
     }
 
     fn reset(&mut self) {
@@ -235,8 +238,16 @@ struct MpcPlans<'a> {
     /// Both penalty weights are non-negative (false for NaN), so
     /// [`PlanObjective::prune`]'s bound holds.
     bounded: bool,
+    /// Best score of any seed plan.
+    seed_score: f64,
     best_score: f64,
-    best_seq0: usize,
+}
+
+impl MpcPlans<'_> {
+    #[inline]
+    fn score(&self, s: &MpcState) -> f64 {
+        s.quality_sum - self.lambda * s.smooth - self.mu * s.rebuffer
+    }
 }
 
 impl PlanObjective for MpcPlans<'_> {
@@ -262,11 +273,23 @@ impl PlanObjective for MpcPlans<'_> {
     }
 
     #[inline]
-    fn leaf(&mut self, s: &MpcState, first: usize) {
-        let score = s.quality_sum - self.lambda * s.smooth - self.mu * s.rebuffer;
-        if score > self.best_score {
+    fn leaf(&mut self, s: &MpcState) -> bool {
+        let score = self.score(s);
+        let better = score > self.best_score;
+        if better {
             self.best_score = score;
-            self.best_seq0 = first;
+        }
+        better
+    }
+
+    fn bounded(&self) -> bool {
+        self.bounded
+    }
+
+    fn seed(&mut self, s: &MpcState) {
+        let score = self.score(s);
+        if score > self.seed_score {
+            self.seed_score = score;
         }
     }
 
@@ -281,7 +304,7 @@ impl PlanObjective for MpcPlans<'_> {
         }
         // The leaf's expression, term for term; a NaN bound never prunes.
         let bound = quality_sum - self.lambda * s.smooth - self.mu * s.rebuffer;
-        bound <= self.best_score
+        bound < self.seed_score || bound <= self.best_score
     }
 }
 

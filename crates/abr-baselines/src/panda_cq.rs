@@ -15,17 +15,22 @@
 //! [`vbr_video::Video`] quality table — exactly the extra information the
 //! paper grants it — and still loses to CAVA, which is the paper's point.
 //!
-//! Plans are scored by the prefix-sharing branch and bound in
+//! Plans are scored by the warm-started, prefix-sharing branch and bound in
 //! [`crate::util`], which picks exactly the plan exhaustive per-plan scoring
-//! would. Until some plan is safe nothing is pruned, so the fallback sees
-//! every plan. After that a prefix is skipped when its buffer already fell
-//! below the margin (each of its plans is unsafe), or when its key bound is
-//! `≤` the best key in lexicographic order. The bound pairs the prefix's
-//! minimum with its quality sum plus each remaining chunk's best quality,
-//! added in the leaf's order. A plan's minimum can only fall and, f64
-//! rounding being monotone, its sum cannot exceed that bound. A
+//! would. Until some plan is known to be safe nothing is pruned, so the
+//! fallback sees every plan. A safe seed plan (a constant plan, or the
+//! previous decision's plan shifted one chunk on) proves one exists before
+//! the first leaf, otherwise the first safe leaf does. After that a prefix
+//! is skipped when its buffer already fell below the margin (each of its
+//! plans is unsafe), or when its key bound is `≤` the best key or strictly
+//! `<` the best safe seed's key, in lexicographic order. The bound pairs the
+//! prefix's minimum with its quality sum plus each remaining chunk's best
+//! quality, added in the leaf's order. A plan's minimum can only fall and,
+//! f64 rounding being monotone, its sum cannot exceed that bound. A
 //! componentwise bound also bounds the lexicographic order, and a later
-//! plan must beat the best key strictly.
+//! plan must beat the best key strictly. Against a seed only `<` is safe:
+//! the seed may come after a plan that ties its key in lexicographic order,
+//! and that earlier plan's first level is the decision.
 
 use std::ops::Range;
 
@@ -185,9 +190,8 @@ impl AbrAlgorithm for PandaCq {
             delta: m.chunk_duration(),
             safety: self.config.safety_buffer_s,
             objective: self.objective,
-            best_seq0: 0,
+            seed_key: (f64::NEG_INFINITY, f64::NEG_INFINITY),
             best_key: (f64::NEG_INFINITY, f64::NEG_INFINITY),
-            fallback_seq0: 0,
             fallback_violation: f64::INFINITY,
             any_safe: false,
         };
@@ -197,12 +201,7 @@ impl AbrAlgorithm for PandaCq {
             q_sum: 0.0,
             q_min: f64::INFINITY,
         };
-        self.search.search(root, &mut plans);
-        if plans.any_safe {
-            plans.best_seq0
-        } else {
-            plans.fallback_seq0
-        }
+        self.search.search(root, &mut plans)[0]
     }
 
     fn reset(&mut self) {}
@@ -218,7 +217,7 @@ struct PandaState {
 }
 
 /// The PANDA/CQ objective over one decision's plans, tracking the best safe
-/// plan and the least-violating fallback.
+/// plan and, until a safe plan is known, the least-violating fallback.
 struct PandaPlans<'a> {
     window: &'a [f64],
     row_max: &'a [f64],
@@ -226,11 +225,22 @@ struct PandaPlans<'a> {
     delta: f64,
     safety: f64,
     objective: PandaCqObjective,
-    best_seq0: usize,
+    /// Best key of any safe seed plan.
+    seed_key: (f64, f64),
     best_key: (f64, f64),
-    fallback_seq0: usize,
     fallback_violation: f64,
+    /// Some scored or seed plan is safe, so the decision is a safe plan.
     any_safe: bool,
+}
+
+impl PandaPlans<'_> {
+    #[inline]
+    fn key(&self, s: &PandaState) -> (f64, f64) {
+        match self.objective {
+            PandaCqObjective::MaxSum => (s.q_sum, s.q_min),
+            PandaCqObjective::MaxMin => (s.q_min, s.q_sum),
+        }
+    }
 }
 
 impl PlanObjective for PandaPlans<'_> {
@@ -251,22 +261,37 @@ impl PlanObjective for PandaPlans<'_> {
     }
 
     #[inline]
-    fn leaf(&mut self, s: &PandaState, first: usize) {
+    fn leaf(&mut self, s: &PandaState) -> bool {
         if s.min_buf >= self.safety {
             self.any_safe = true;
-            let key = match self.objective {
-                PandaCqObjective::MaxSum => (s.q_sum, s.q_min),
-                PandaCqObjective::MaxMin => (s.q_min, s.q_sum),
-            };
-            if key > self.best_key {
+            let key = self.key(s);
+            let better = key > self.best_key;
+            if better {
                 self.best_key = key;
-                self.best_seq0 = first;
             }
+            better
+        } else if self.any_safe {
+            false
         } else {
             let violation = self.safety - s.min_buf;
-            if violation < self.fallback_violation {
+            let better = violation < self.fallback_violation;
+            if better {
                 self.fallback_violation = violation;
-                self.fallback_seq0 = first;
+            }
+            better
+        }
+    }
+
+    fn bounded(&self) -> bool {
+        true
+    }
+
+    fn seed(&mut self, s: &PandaState) {
+        if s.min_buf >= self.safety {
+            self.any_safe = true;
+            let key = self.key(s);
+            if key > self.seed_key {
+                self.seed_key = key;
             }
         }
     }
@@ -287,8 +312,8 @@ impl PlanObjective for PandaPlans<'_> {
             PandaCqObjective::MaxSum => (q_sum, s.q_min),
             PandaCqObjective::MaxMin => (s.q_min, q_sum),
         };
-        // A NaN component never compares `<=`, so it never prunes.
-        bound <= self.best_key
+        // A NaN component never compares `<` or `<=`, so it never prunes.
+        bound < self.seed_key || bound <= self.best_key
     }
 }
 
@@ -406,6 +431,47 @@ mod tests {
             PandaCq::max_min(&video, VmafModel::Phone).name(),
             "PANDA/CQ max-min"
         );
+    }
+
+    /// A seed whose key ties an earlier plan's must not cut that plan. Over
+    /// two chunks where only level 1 and the top level score on the first
+    /// and only the top level on the second, the constant top plan (a seed)
+    /// ties plan (1, top), which comes first and so is the decision.
+    #[test]
+    fn a_seed_tied_by_an_earlier_plan_leaves_it_the_decision() {
+        let m = Manifest::from_video(&Dataset::ed_youtube_h264());
+        let n = m.n_tracks();
+        let top = n - 1;
+        let mut window = vec![0.0; 2 * n];
+        window[1] = 5.0;
+        window[top] = 5.0;
+        window[n + top] = 5.0;
+        let row_max = [5.0, 5.0];
+        for objective in [PandaCqObjective::MaxSum, PandaCqObjective::MaxMin] {
+            let mut search = PlanSearch::default();
+            // Downloads take no time, so every plan is safe.
+            search.prepare(&m, 0, 2, 1.0e15);
+            let mut plans = PandaPlans {
+                window: &window,
+                row_max: &row_max,
+                n_levels: n,
+                delta: m.chunk_duration(),
+                safety: 4.0,
+                objective,
+                seed_key: (f64::NEG_INFINITY, f64::NEG_INFINITY),
+                best_key: (f64::NEG_INFINITY, f64::NEG_INFINITY),
+                fallback_violation: f64::INFINITY,
+                any_safe: false,
+            };
+            let root = PandaState {
+                buf: 30.0,
+                min_buf: f64::INFINITY,
+                q_sum: 0.0,
+                q_min: f64::INFINITY,
+            };
+            assert_eq!(search.search(root, &mut plans), [1, top], "{objective:?}");
+            assert_eq!(plans.best_key, plans.seed_key, "{objective:?}");
+        }
     }
 
     #[test]

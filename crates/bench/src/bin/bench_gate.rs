@@ -15,11 +15,12 @@
 //! a silent pass. A field new in the fresh document passes with a note, so
 //! adding metrics never breaks the gate against an older baseline.
 //!
-//! `allocs_per_decision` and `bytes_per_decision` are gated **exactly**:
-//! any increase over the baseline fails, whatever the tolerance.
-//! Allocation counts are deterministic — there is no machine variance to
-//! absorb — and a percentage gate would be vacuous against the committed
-//! all-zero baseline (a relative regression from 0 is undefined).
+//! `allocs_per_decision`, `bytes_per_decision` and `plan_steps` are gated
+//! **exactly**: any increase over the baseline fails, whatever the
+//! tolerance. Allocation and plan-step counts are deterministic — there is
+//! no machine variance to absorb — and a percentage gate would be vacuous
+//! against the committed all-zero allocation baseline (a relative
+//! regression from 0 is undefined).
 //!
 //! `scripts/check.sh` recovers the baseline from `git show HEAD:...` and
 //! forwards its `--bench-tolerance` flag here (see CONTRIBUTING.md).
@@ -34,8 +35,8 @@ const LOWER_BETTER: [&str; 1] = ["latency_p99_ms"];
 /// Fields gated exactly: smaller is better and *any* increase over the
 /// baseline fails, independent of `--tolerance`. Deterministic counters
 /// belong here — their committed baseline is typically zero, where a
-/// percentage gate cannot bite.
-const EXACT_LOWER: [&str; 2] = ["allocs_per_decision", "bytes_per_decision"];
+/// percentage gate cannot bite, and any growth in a work count is real.
+const EXACT_LOWER: [&str; 3] = ["allocs_per_decision", "bytes_per_decision", "plan_steps"];
 
 fn collect_gated(prefix: &str, value: &Value, out: &mut Vec<(String, String, f64)>) {
     match value {
@@ -227,6 +228,20 @@ mod tests {
         // A huge tolerance does not loosen an exact gate.
         let v = verdict(base, fresh, 1_000.0);
         assert_eq!(v.failures, ["schemes[0].bytes_per_decision"]);
+        assert!(verdict(base, base, 0.0).failures.is_empty());
+    }
+
+    #[test]
+    fn plan_steps_are_exact_gated() {
+        let base = r#"{"schemes": [{"scheme": "MPC", "plan_steps": 359382}]}"#;
+        let one_more = r#"{"schemes": [{"scheme": "MPC", "plan_steps": 359383}]}"#;
+        let fewer = r#"{"schemes": [{"scheme": "MPC", "plan_steps": 300000}]}"#;
+        // One step more is far inside any tolerance, and still fails.
+        let v = verdict(base, one_more, 1_000.0);
+        assert_eq!(v.compared, 1);
+        assert_eq!(v.failures, ["schemes[0].plan_steps"]);
+        assert!(v.lines[0].contains("exact gate"), "{:?}", v.lines);
+        assert!(verdict(base, fewer, 0.0).failures.is_empty());
         assert!(verdict(base, base, 0.0).failures.is_empty());
     }
 

@@ -15,6 +15,7 @@ pub mod exp_oracle;
 pub mod exp_outer_window;
 pub mod exp_per_title;
 pub mod exp_pia_vs_cava;
+pub mod exp_plan_counts;
 pub mod exp_population;
 pub mod exp_serve_chaos;
 pub mod exp_serve_soak;
@@ -190,6 +191,11 @@ pub fn registry() -> Vec<(&'static str, &'static str, fn() -> io::Result<()>)> {
             "allocations per steady-state decision, exact-gated, BENCH_alloc.json (extension)",
             exp_alloc_gate::run,
         ),
+        (
+            "plan_counts",
+            "MPC-family plan step evaluations, exact-gated, BENCH_counts.json (extension)",
+            exp_plan_counts::run,
+        ),
     ]
 }
 
@@ -222,11 +228,11 @@ mod tests {
     #[test]
     fn registry_ids_unique() {
         let reg = registry();
-        assert_eq!(reg.len(), 31);
+        assert_eq!(reg.len(), 32);
         let mut ids: Vec<&str> = reg.iter().map(|(id, _, _)| *id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 31);
+        assert_eq!(ids.len(), 32);
     }
 
     #[test]

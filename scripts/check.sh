@@ -233,7 +233,7 @@ REPO_ROOT="$(pwd)"
 GATE_BASE="$(mktemp -d)"
 GATE_FRESH="$(mktemp -d)"
 for doc in BENCH_serve.json BENCH_serve_chaos.json BENCH_population.json \
-    BENCH_alloc.json; do
+    BENCH_alloc.json BENCH_counts.json; do
     if ! git show "HEAD:$doc" > "$GATE_BASE/$doc" 2>/dev/null; then
         echo "  $doc not in HEAD yet - gate skipped for it"
         rm -f "$GATE_BASE/$doc"
@@ -245,6 +245,8 @@ done
     "$REPO_ROOT/target/release/exp" serve_chaos > /dev/null)
 (cd "$GATE_FRESH" && RESULTS_DIR="$GATE_FRESH/results" POP_SCALE=20000 \
     "$REPO_ROOT/target/release/exp" population > /dev/null)
+(cd "$GATE_FRESH" && RESULTS_DIR="$GATE_FRESH/results" \
+    "$REPO_ROOT/target/release/exp" plan_counts > /dev/null)
 # Only now rebuild `exp` with counted-alloc, which installs the counting
 # global allocator and builds alloc_gate's measuring implementation. The
 # feature build overwrites target/release/exp, so it must come last.
@@ -270,6 +272,14 @@ if [ -f "$GATE_BASE/BENCH_alloc.json" ]; then
     ./target/release/bench_gate "$GATE_BASE/BENCH_alloc.json" \
         "$GATE_FRESH/BENCH_alloc.json" --tolerance 0 ||
         FAILED_GATES="$FAILED_GATES BENCH_alloc.json"
+fi
+# The MPC family's plan step counts are deterministic work counters:
+# plan_steps is exact-gated inside bench_gate, and the document is held
+# to 0% as well, so a weaker search bound fails here on any machine.
+if [ -f "$GATE_BASE/BENCH_counts.json" ]; then
+    ./target/release/bench_gate "$GATE_BASE/BENCH_counts.json" \
+        "$GATE_FRESH/BENCH_counts.json" --tolerance 0 ||
+        FAILED_GATES="$FAILED_GATES BENCH_counts.json"
 fi
 rm -rf "$GATE_BASE" "$GATE_FRESH"
 if [ -n "$FAILED_GATES" ]; then

@@ -6,10 +6,12 @@
 //!
 //! `Mpc` and `PandaCq` search their plans depth first, sharing each prefix's
 //! partial state and skipping prefixes whose bound cannot beat the best plan
-//! so far. The reference here scores every plan from the root, one plan at a
-//! time, the way the schemes are specified. Both must pick the same first
-//! level on every context, ties included, and stream identical sessions.
+//! so far or falls below the best seed plan walked before the search. The
+//! reference here scores every plan from the root, one plan at a time, the
+//! way the schemes are specified. Both must pick the same first level on
+//! every context, ties included, and stream identical sessions.
 
+use abr_bench::experiments::exp_plan_counts::{self, PlanCounts};
 use cava_suite::baselines::{Mpc, MpcConfig, PandaCq};
 use cava_suite::net::lte::{lte_trace, LteConfig};
 use cava_suite::net::{PredictionErrorTracker, Trace};
@@ -529,61 +531,34 @@ fn lte_sessions_match_per_plan_scoring() {
 /// the paper's N = 5 over 6 tracks: 6 + 36 + 216 + 1296 + 7776.
 const EXHAUSTIVE_STEPS_PER_DECISION: u64 = 9330;
 
-/// Exact step-evaluation totals over four LTE sessions (seeds 1–4) of
-/// `ED-youtube-h264`: 480 decisions per scheme. Exhaustive search costs
+/// Exhaustive search over `exp plan_counts`' corpus, four LTE sessions
+/// (seeds 1–4) of `ED-youtube-h264` with 480 decisions per scheme, costs
 /// 116 × 9330 plus the shrinking end-of-video horizons per session.
 const EXHAUSTIVE_CORPUS_STEPS: u64 =
     4 * (116 * EXHAUSTIVE_STEPS_PER_DECISION + 1554 + 258 + 42 + 6);
-const PRUNED_STEPS: [(&str, u64); 4] = [
-    ("MPC", 572_868),
-    ("RobustMPC", 609_954),
-    ("PANDA/CQ max-sum", 541_428),
-    ("PANDA/CQ max-min", 782_076),
-];
 
-/// The pruned searches' work is deterministic, so it is pinned exactly: a
-/// later change that weakens a bound fails here even when decisions hold.
+/// The pruned searches' work is deterministic, so it is pinned exactly, in
+/// the committed `BENCH_counts.json`: a later change that weakens a bound
+/// or a seed fails here even when decisions hold.
 #[test]
 fn pruned_step_totals_are_pinned() {
-    let video = Dataset::ed_youtube_h264();
-    let m = Manifest::from_video(&video);
-    let sim = Simulator::paper_default();
-    let corpus = lte_corpus(4);
-    let mut exhaustive = 0;
-    let mut steps = Vec::new();
-    let mut mpcs = [Mpc::mpc(), Mpc::robust()];
-    let mut pandas = [
-        PandaCq::max_sum(&video, VmafModel::Phone),
-        PandaCq::max_min(&video, VmafModel::Phone),
-    ];
-    for trace in &corpus {
-        let session = sim.run(&mut mpcs[0], &m, trace);
-        exhaustive += session
-            .records
-            .iter()
-            .map(|r| {
-                let h = HORIZON.min(m.n_chunks() - r.index) as u32;
-                (1..=h).map(|i| (m.n_tracks() as u64).pow(i)).sum::<u64>()
-            })
-            .sum::<u64>();
-        sim.run(&mut mpcs[1], &m, trace);
-        for cq in &mut pandas {
-            sim.run(cq, &m, trace);
-        }
-    }
-    for mpc in &mpcs {
-        steps.push((mpc.name().to_string(), mpc.plan_steps()));
-    }
-    for cq in &pandas {
-        steps.push((cq.name().to_string(), cq.plan_steps()));
-    }
-    assert_eq!(exhaustive, EXHAUSTIVE_CORPUS_STEPS);
-    let pinned: Vec<_> = PRUNED_STEPS
-        .iter()
-        .map(|&(name, n)| (name.to_string(), n))
-        .collect();
-    assert_eq!(steps, pinned);
-    for (name, n) in &steps {
-        assert!(5 * n <= exhaustive, "{name}: {n} of {exhaustive}");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_counts.json");
+    let committed: PlanCounts =
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let fresh = exp_plan_counts::measure();
+    assert_eq!(fresh.decisions_per_scheme, 480);
+    assert_eq!(fresh.exhaustive_steps, EXHAUSTIVE_CORPUS_STEPS);
+    assert_eq!(
+        fresh, committed,
+        "rerun `exp plan_counts` at the repo root and commit BENCH_counts.json"
+    );
+    for s in &fresh.schemes {
+        assert!(
+            10 * s.plan_steps <= fresh.exhaustive_steps,
+            "{}: {} of {}",
+            s.scheme,
+            s.plan_steps,
+            fresh.exhaustive_steps
+        );
     }
 }
