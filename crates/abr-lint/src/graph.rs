@@ -10,7 +10,10 @@
 //! (`util::foo(..)`), a trait implemented in the crate
 //! (`AbrAlgorithm::foo(..)`) or a one-letter generic parameter
 //! (`T::foo(..)`) — falls back to linking *every* function named `foo` in
-//! the same crate. The fallback over-approximates real dispatch (trait
+//! the same crate. A function a `macro_rules!` body defines in an `impl`
+//! for a metavariable (`impl $E { fn get_fields … }`) may stand for any
+//! type, so a type-qualified call with no exact match (`Frame::get_fields`,
+//! `u8::get`) links to every such function of that name. The fallback over-approximates real dispatch (trait
 //! objects, shadowed free functions, same-named methods on different types
 //! all merge), which is exactly the right bias for rule R7: a function is
 //! considered hot if it *might* run under a hot-path root, and false edges
@@ -54,6 +57,9 @@ pub struct CrateGraph<'a> {
     by_name: BTreeMap<&'a str, Vec<FnRef>>,
     /// qualified `Type::name` -> its functions (production code only).
     by_qualified: BTreeMap<&'a str, Vec<FnRef>>,
+    /// name -> functions a macro defines for a metavariable type
+    /// (`$E::get_fields`), which a call on any type may reach.
+    by_macro_type: BTreeMap<&'a str, Vec<FnRef>>,
     /// Traits some impl block of the crate implements.
     traits: BTreeSet<&'a str>,
 }
@@ -64,6 +70,7 @@ impl<'a> CrateGraph<'a> {
         let files: Vec<&'a ParsedFile> = files.into_iter().collect();
         let mut by_name: BTreeMap<&'a str, Vec<FnRef>> = BTreeMap::new();
         let mut by_qualified: BTreeMap<&'a str, Vec<FnRef>> = BTreeMap::new();
+        let mut by_macro_type: BTreeMap<&'a str, Vec<FnRef>> = BTreeMap::new();
         let mut traits = BTreeSet::new();
         for (fi, file) in files.iter().enumerate() {
             for (ii, f) in file.fns.iter().enumerate() {
@@ -77,12 +84,16 @@ impl<'a> CrateGraph<'a> {
                     .entry(f.qualified.as_str())
                     .or_default()
                     .push(r);
+                if f.qualified.starts_with('$') {
+                    by_macro_type.entry(f.name.as_str()).or_default().push(r);
+                }
             }
         }
         CrateGraph {
             files,
             by_name,
             by_qualified,
+            by_macro_type,
             traits,
         }
     }
@@ -94,8 +105,10 @@ impl<'a> CrateGraph<'a> {
 
     /// Resolve a call key from [`FnItem::calls`]: qualified keys
     /// (`"Cur::new"`) match qualified function names exactly when any
-    /// exist, otherwise fall back to bare-name resolution on the last
-    /// segment (conservative over-approximation).
+    /// exist; a type qualifier with no exact match reaches only the
+    /// same-named functions macros define for a metavariable type; any
+    /// other key falls back to bare-name resolution on the last segment
+    /// (conservative over-approximation).
     fn resolve(&self, callee: &str) -> &[FnRef] {
         let bare = match callee.rsplit_once("::") {
             Some((qualifier, bare)) => {
@@ -103,7 +116,7 @@ impl<'a> CrateGraph<'a> {
                     return hits;
                 }
                 if names_type(qualifier) && !self.traits.contains(qualifier) {
-                    return &[];
+                    return self.by_macro_type.get(bare).map_or(&[], Vec::as_slice);
                 }
                 bare
             }
@@ -308,6 +321,22 @@ mod tests {
             "// abr-lint: hot-path\nfn root(a: &A) { Algo::pick(a); }\nstruct B; impl B { fn make() {} }\n// abr-lint: hot-path\nfn generic<T>() { T::make(); }\n",
         ]);
         assert_eq!(quals, ["A::pick", "root", "B::make", "generic"]);
+    }
+
+    #[test]
+    fn type_path_calls_reach_functions_macros_define_for_any_type() {
+        // `Frame::decode` and `u8::get` have no exact match; the macro's
+        // `$E::decode` and `$t::get` may stand for those types, `Conn::get`
+        // may not.
+        let quals = hot_quals(&[
+            "macro_rules! table { ($E:ident) => { impl $E { fn decode() { u8::get(); } } }; }
+macro_rules! ints { ($t:ty) => { impl Wire for $t { fn get() {} } }; }
+struct Conn; impl Conn { fn get() {} }
+// abr-lint: hot-path
+fn root() { Frame::decode(); }
+",
+        ]);
+        assert_eq!(quals, ["$E::decode", "$t::get", "root"]);
     }
 
     #[test]

@@ -25,10 +25,13 @@
 //! * **R8** — no `lock()`/`try_lock()` guard whose lexical scope contains
 //!   socket/stream I/O or `thread::sleep`.
 //! * **R9** — no narrowing `as` cast in the wire encode/decode paths
-//!   (`protocol.rs`, `replay.rs`) without an adjacent bounds guard.
+//!   (`codec.rs`, `protocol.rs`, `replay.rs`) without an adjacent bounds
+//!   guard.
 //! * **R10** — the record-type table in `docs/REPLAY.md` must match the
-//!   constants, `Event` variants, and match arms in `replay.rs` — drift in
-//!   either direction fails the lint.
+//!   `Name = 0xNN` rows of the one record table in `replay.rs` — drift in
+//!   either direction, or one type byte given twice on either side, fails
+//!   the lint. The enum, encoder and decoder are generated from that table,
+//!   so the compiler keeps them in step with it.
 //!
 //! Every rule reads one view of each source file, [`syntax::ParsedFile`]:
 //! the raw lines, the code view (comments and string contents stripped),

@@ -10,8 +10,8 @@
 //! | R6 | every crate root | missing `#![forbid(unsafe_code)]` |
 //! | R7 | functions reachable from `// abr-lint: hot-path` roots | heap allocation (`Vec::new`, `vec![`, `Box::new`, `format!`, `.to_vec(`, `.collect(`, `String::from`) on the decision hot path |
 //! | R8 | all crates | a `lock()`/`try_lock()` guard whose lexical scope contains socket/stream I/O (`read`/`write`/`flush`), `thread::sleep` or the reactor's `sys_poll::wait` |
-//! | R9 | `abr-serve` protocol/replay encode paths | narrowing `as` casts (`as u8/u16/u32/usize`) with no adjacent bounds guard |
-//! | R10 | `docs/REPLAY.md` × `replay.rs` | drift between the spec's record-type table and the constants/variants/match arms in the decoder |
+//! | R9 | `abr-serve` codec/protocol/replay encode paths | narrowing `as` casts (`as u8/u16/u32/usize`) with no adjacent bounds guard |
+//! | R10 | `docs/REPLAY.md` × `replay.rs` | drift between the spec's record-type table and the `Name = 0xNN` rows of the decoder's one record table, or a type byte given twice |
 //!
 //! R1–R5 and R8–R9 are line/file-level and run in [`check_file`]; R6 runs
 //! on crate roots ([`check_crate_root`]); R7 is cross-file within each
@@ -140,11 +140,13 @@ const LIBRARY_CRATES: &[&str] = &[
 /// Files whose encode/decode paths rule R9 watches for unguarded
 /// narrowing casts (the PR-4 `len as u32` bug class).
 const R9_FILES: &[&str] = &[
+    "crates/abr-serve/src/codec.rs",
     "crates/abr-serve/src/protocol.rs",
     "crates/abr-serve/src/replay.rs",
 ];
 
-/// The spec/decoder pair rule R10 cross-checks.
+/// The spec/decoder pair rule R10 cross-checks; the decoder file holds the
+/// one record table.
 const R10_DOC: &str = "docs/REPLAY.md";
 const R10_DECODER: &str = "crates/abr-serve/src/replay.rs";
 
@@ -589,22 +591,7 @@ fn hot_path_violations(files: &[(&str, &ParsedFile)]) -> Vec<Violation> {
 // R10 — spec drift between docs/REPLAY.md and the replay decoder
 // ---------------------------------------------------------------------------
 
-/// `EV_SESSION_OPENED` → `SessionOpened`.
-fn camel_of_const(name: &str) -> String {
-    let mut out = String::new();
-    for part in name.split('_') {
-        let mut chars = part.chars();
-        if let Some(first) = chars.next() {
-            out.push(first.to_ascii_uppercase());
-            for c in chars {
-                out.push(c.to_ascii_lowercase());
-            }
-        }
-    }
-    out
-}
-
-/// A record-type row parsed from the spec table or the decoder source.
+/// A record-type row parsed from the spec table or the decoder's table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RecordType {
     value: u8,
@@ -646,57 +633,21 @@ fn doc_record_rows(doc: &str) -> Vec<RecordType> {
     out
 }
 
-/// `const EV_*: u8 = 0x..;` constants in the decoder source (code view,
-/// so a constant pasted in a comment does not count).
-fn decoder_record_consts(decoder: &ParsedFile) -> Vec<(String, RecordType)> {
-    let mut out = Vec::new();
-    for line in decoder.lines() {
-        let code = line.code.trim();
-        let Some(rest) = code.strip_prefix("const EV_") else {
-            continue;
-        };
-        let Some((name_part, tail)) = rest.split_once(':') else {
-            continue;
-        };
-        if !tail.contains("u8") {
-            continue;
-        }
-        let Some(eq) = tail.find("0x") else {
-            continue;
-        };
-        let hex: String = tail[eq + 2..]
-            .chars()
-            .take_while(|c| c.is_ascii_hexdigit())
-            .collect();
-        let Ok(value) = u8::from_str_radix(&hex, 16) else {
-            continue;
-        };
-        let const_name = format!("EV_{}", name_part.trim());
-        out.push((
-            const_name.clone(),
-            RecordType {
-                value,
-                name: camel_of_const(name_part.trim()),
-                line: line.number,
-                raw: line.raw.trim().to_string(),
-            },
-        ));
-    }
-    out
-}
-
-/// Variant names of `enum Event { … }` in the decoder's code view.
-fn event_variants(stripped: &str) -> Vec<String> {
-    let Some(enum_at) = stripped.find("enum Event") else {
+/// The `Name = 0xNN` rows of the decoder's one record table: the
+/// variants of `enum Event { … }` (in the `wire_enum!` invocation) that
+/// carry a type byte, read from the code view so a row in a comment does
+/// not count.
+fn decoder_table_rows(decoder: &ParsedFile) -> Vec<RecordType> {
+    let stripped = decoder.stripped.as_str();
+    let Some(open) = stripped
+        .find("enum Event")
+        .and_then(|at| stripped[at..].find('{').map(|rel| at + rel))
+    else {
         return Vec::new();
     };
-    let Some(open_rel) = stripped[enum_at..].find('{') else {
-        return Vec::new();
-    };
-    let open = enum_at + open_rel;
     let bytes = stripped.as_bytes();
     let mut depth = 0i64;
-    let mut variants = Vec::new();
+    let mut out = Vec::new();
     let mut i = open;
     while i < bytes.len() {
         match bytes[i] {
@@ -707,15 +658,32 @@ fn event_variants(stripped: &str) -> Vec<String> {
                     break;
                 }
             }
-            b'A'..=b'Z' if depth == 1 => {
+            b'A'..=b'Z' if depth == 1 && !is_ident_byte(bytes[i - 1]) => {
                 let start = i;
                 while i < bytes.len() && is_ident_byte(bytes[i]) {
                     i += 1;
                 }
-                let ident = stripped[start..i].to_string();
-                let next = stripped[i..].trim_start().chars().next();
-                if matches!(next, Some('{') | Some('(') | Some(',')) {
-                    variants.push(ident);
+                let value = stripped[i..]
+                    .trim_start()
+                    .strip_prefix('=')
+                    .and_then(|rest| rest.trim_start().strip_prefix("0x"))
+                    .and_then(|rest| {
+                        let end = rest
+                            .find(|c: char| !c.is_ascii_hexdigit())
+                            .unwrap_or(rest.len());
+                        u8::from_str_radix(&rest[..end], 16).ok()
+                    });
+                if let Some(value) = value {
+                    let line = decoder.line_of(start);
+                    out.push(RecordType {
+                        value,
+                        name: stripped[start..i].to_string(),
+                        line,
+                        raw: decoder
+                            .line(line)
+                            .map(|l| l.raw.trim().to_string())
+                            .unwrap_or_default(),
+                    });
                 }
                 continue;
             }
@@ -723,12 +691,12 @@ fn event_variants(stripped: &str) -> Vec<String> {
         }
         i += 1;
     }
-    variants
+    out
 }
 
 /// R10: cross-check the spec's record-type table against the decoder's
-/// constants, enum variants, and match arms — drift in either direction
-/// is a violation.
+/// one record table — drift in either direction, and a type byte given
+/// twice on either side, is a violation.
 pub fn check_spec_drift(
     doc_path: &str,
     doc: &str,
@@ -746,115 +714,69 @@ fn spec_drift_violations(
     decoder: &ParsedFile,
 ) -> Vec<Violation> {
     let rows = doc_record_rows(doc);
-    let consts = decoder_record_consts(decoder);
-    let stripped_decoder = decoder.stripped.as_str();
-    let variants = event_variants(stripped_decoder);
+    if rows.is_empty() {
+        return vec![Violation {
+            rule: "R10",
+            path: doc_path.to_string(),
+            line: 0,
+            message: "no record-type table rows found — the spec's `| 0xNN | Name | … |` table is the normative record registry".to_string(),
+            snippet: String::new(),
+        }];
+    }
+    let table = decoder_table_rows(decoder);
     let mut out = Vec::new();
-    let mut push = |path: &str, line: usize, raw: &str, message: String| {
+    let mut push = |path: &str, at: &RecordType, message: String| {
         out.push(Violation {
             rule: "R10",
             path: path.to_string(),
-            line,
+            line: at.line,
             message,
-            snippet: raw.to_string(),
+            snippet: at.raw.clone(),
         });
     };
 
-    if rows.is_empty() {
-        push(
-            doc_path,
-            0,
-            "",
-            "no record-type table rows found — the spec's `| 0xNN | Name | … |` table is the normative record registry".to_string(),
-        );
-        return out;
-    }
-
-    // Spec → decoder.
     for row in &rows {
-        match consts.iter().find(|(_, c)| c.value == row.value) {
+        match table.iter().find(|t| t.value == row.value) {
             None => push(
                 doc_path,
-                row.line,
-                &row.raw,
+                row,
                 format!(
-                    "spec documents record type 0x{:02X} `{}` but {decoder_path} defines no constant with that value",
+                    "spec documents record type 0x{:02X} `{}` but the {decoder_path} record table has no row with that value",
                     row.value, row.name
                 ),
             ),
-            Some((const_name, c)) if c.name != row.name => push(
+            Some(t) if t.name != row.name => push(
                 doc_path,
-                row.line,
-                &row.raw,
+                row,
                 format!(
-                    "record type 0x{:02X} is `{}` in the spec but `{const_name}` (= {}) in {decoder_path}",
-                    row.value, row.name, c.name
+                    "record type 0x{:02X} is `{}` in the spec but `{}` in the {decoder_path} record table",
+                    row.value, row.name, t.name
                 ),
             ),
             Some(_) => {}
         }
     }
-
-    // Decoder → spec, plus internal consistency of the decoder itself.
-    for (const_name, c) in &consts {
-        if !rows.iter().any(|row| row.value == c.value) {
+    for t in &table {
+        if !rows.iter().any(|row| row.value == t.value) {
             push(
                 decoder_path,
-                c.line,
-                &c.raw,
+                t,
                 format!(
-                    "record type 0x{:02X} `{const_name}` has no row in the {doc_path} record-type table — document it before shipping",
-                    c.value
-                ),
-            );
-        }
-        if !variants.contains(&c.name) {
-            push(
-                decoder_path,
-                c.line,
-                &c.raw,
-                format!("`{const_name}` has no matching `Event::{}` variant", c.name),
-            );
-        }
-        let used_in_match = word_occurrences(stripped_decoder, const_name)
-            .iter()
-            .any(|&at| {
-                stripped_decoder[at + const_name.len()..]
-                    .trim_start()
-                    .starts_with("=>")
-            });
-        if !used_in_match {
-            push(
-                decoder_path,
-                c.line,
-                &c.raw,
-                format!("`{const_name}` is defined but never matched in the record decoder"),
-            );
-        }
-    }
-
-    // Duplicate values on either side.
-    for (i, row) in rows.iter().enumerate() {
-        if rows[..i].iter().any(|r| r.value == row.value) {
-            push(
-                doc_path,
-                row.line,
-                &row.raw,
-                format!(
-                    "duplicate record type 0x{:02X} in the spec table",
-                    row.value
+                    "record type 0x{:02X} `{}` has no row in the {doc_path} record-type table — document it before shipping",
+                    t.value, t.name
                 ),
             );
         }
     }
-    for (i, (const_name, c)) in consts.iter().enumerate() {
-        if consts[..i].iter().any(|(_, p)| p.value == c.value) {
-            push(
-                decoder_path,
-                c.line,
-                &c.raw,
-                format!("duplicate record type 0x{:02X} (`{const_name}`)", c.value),
-            );
+    for (path, side) in [(doc_path, &rows), (decoder_path, &table)] {
+        for (i, r) in side.iter().enumerate() {
+            if side[..i].iter().any(|p| p.value == r.value) {
+                push(
+                    path,
+                    r,
+                    format!("duplicate record type 0x{:02X} (`{}`)", r.value, r.name),
+                );
+            }
         }
     }
     out
@@ -1321,12 +1243,5 @@ mod tests {
         };
         assert!(clean.to_json().contains("\"clean\": true"));
         assert!(clean.to_json().contains("\"violations\": []"));
-    }
-
-    #[test]
-    fn camel_case_of_record_constants() {
-        assert_eq!(camel_of_const("SESSION_OPENED"), "SessionOpened");
-        assert_eq!(camel_of_const("RUN_META"), "RunMeta");
-        assert_eq!(camel_of_const("FRAME_IN"), "FrameIn");
     }
 }

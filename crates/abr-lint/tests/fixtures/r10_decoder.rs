@@ -1,28 +1,15 @@
-//! R10 fixture decoder: five record types, in sync with
-//! `r10_spec.md`. Tests introduce drift by appending lines to copies of
-//! these fixtures.
+//! R10 fixture decoder: one record table of five rows, in sync with
+//! `r10_spec.md`. Tests introduce drift by editing copies of these
+//! fixtures.
 
-const EV_RUN_META: u8 = 0x01;
-const EV_DECISION: u8 = 0x02;
-const EV_RUN_END: u8 = 0x03;
-const EV_SESSION_ABANDON: u8 = 0x04;
-const EV_SEEK: u8 = 0x05;
-
-pub enum Event {
-    RunMeta { label: String, seed: u64 },
-    Decision { tick: u64, level: u64 },
-    RunEnd { events: u64 },
-    SessionAbandon { session_id: u64, watched_s: f64 },
-    Seek { session_id: u64, to_chunk: u64 },
-}
-
-pub fn decode(ty: u8) -> Result<&'static str, u8> {
-    match ty {
-        EV_RUN_META => Ok("run-meta"),
-        EV_DECISION => Ok("decision"),
-        EV_RUN_END => Ok("run-end"),
-        EV_SESSION_ABANDON => Ok("session-abandon"),
-        EV_SEEK => Ok("seek"),
-        other => Err(other),
+wire_enum! {
+    /// The record table.
+    pub enum Event {
+        /// A row in a comment is not a row: Bogus = 0x99.
+        RunMeta = 0x01 { label: String, seed: u64 },
+        Decision = 0x02 { tick: u64, level: u64 },
+        RunEnd = 0x03 { events: u64 },
+        SessionAbandon = 0x04 { session_id: u64, watched_s: f64 },
+        Seek = 0x05 { session_id: u64, to_chunk: u64 },
     }
 }

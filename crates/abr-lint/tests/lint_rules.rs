@@ -303,19 +303,23 @@ fn r10_in_sync_pair_is_clean() {
 
 #[test]
 fn r10_record_type_added_to_decoder_without_spec_row_fails() {
-    // The acceptance-criteria direction: a new record type in the decoder
+    // The acceptance-criteria direction: a new row in the decoder's table
     // with no documentation row must fail the lint.
-    let decoder = format!("{R10_DECODER}const EV_FAULT_INJECTED: u8 = 0x06;\n");
+    let decoder = R10_DECODER.replace(
+        "        Seek = 0x05",
+        "        FaultInjected = 0x06 { kind: u8 },\n        Seek = 0x05",
+    );
+    assert_ne!(decoder, R10_DECODER, "fixture edit took effect");
     let hits = check_spec_drift("docs/spec.md", R10_SPEC, "crates/x/src/replay.rs", &decoder);
     assert!(
         hits.iter()
             .any(|v| v.rule == "R10" && v.message.contains("has no row")),
         "undocumented record type must be reported: {hits:?}"
     );
-    // The drift anchors on the decoder line that introduced it.
+    // The drift anchors on the table row that introduced it.
     assert!(hits
         .iter()
-        .any(|v| v.path == "crates/x/src/replay.rs" && v.snippet.contains("EV_FAULT_INJECTED")));
+        .any(|v| v.path == "crates/x/src/replay.rs" && v.snippet.contains("FaultInjected = 0x06")));
 }
 
 #[test]
@@ -325,7 +329,7 @@ fn r10_spec_row_without_decoder_constant_fails() {
     assert!(
         hits.iter().any(|v| v.rule == "R10"
             && v.path == "docs/spec.md"
-            && v.message.contains("no constant with that value")),
+            && v.message.contains("no row with that value")),
         "spec-only record type must be reported: {hits:?}"
     );
 }
@@ -339,12 +343,20 @@ fn r10_name_drift_between_spec_and_decoder_fails() {
             .any(|v| v.rule == "R10" && v.message.contains("`Choice`")),
         "name drift must be reported: {hits:?}"
     );
+    // The same drift made on the table side.
+    let decoder = R10_DECODER.replace("Decision = 0x02", "Choice = 0x02");
+    let hits = check_spec_drift("docs/spec.md", R10_SPEC, "crates/x/src/replay.rs", &decoder);
+    assert!(
+        hits.iter()
+            .any(|v| v.rule == "R10" && v.message.contains("`Choice`")),
+        "name drift must be reported: {hits:?}"
+    );
 }
 
 #[test]
 fn r10_abandon_constant_without_spec_row_fails() {
     // Both drift directions for the population-workload rows. Direction
-    // one: the decoder knows SessionAbandon but the spec row is gone.
+    // one: the decoder's table has SessionAbandon but the spec row is gone.
     let spec = R10_SPEC.replace(
         "| 0x04 | SessionAbandon | `session_id u64`, `watched_s f64` |\n",
         "",
@@ -352,7 +364,7 @@ fn r10_abandon_constant_without_spec_row_fails() {
     let hits = check_spec_drift("docs/spec.md", &spec, "crates/x/src/replay.rs", R10_DECODER);
     assert!(
         hits.iter().any(|v| v.rule == "R10"
-            && v.snippet.contains("EV_SESSION_ABANDON")
+            && v.snippet.contains("SessionAbandon = 0x04")
             && v.message.contains("has no row")),
         "undocumented SessionAbandon must be reported: {hits:?}"
     );
@@ -360,11 +372,12 @@ fn r10_abandon_constant_without_spec_row_fails() {
 
 #[test]
 fn r10_seek_spec_row_without_decoder_fails() {
-    // Direction two: the spec documents Seek but the decoder lost it.
-    let decoder = R10_DECODER
-        .replace("const EV_SEEK: u8 = 0x05;\n", "")
-        .replace("    Seek { session_id: u64, to_chunk: u64 },\n", "")
-        .replace("        EV_SEEK => Ok(\"seek\"),\n", "");
+    // Direction two: the spec documents Seek but the decoder's table lost
+    // its row.
+    let decoder = R10_DECODER.replace(
+        "        Seek = 0x05 { session_id: u64, to_chunk: u64 },\n",
+        "",
+    );
     assert!(
         decoder.len() < R10_DECODER.len(),
         "fixture edit took effect"
@@ -373,21 +386,32 @@ fn r10_seek_spec_row_without_decoder_fails() {
     assert!(
         hits.iter().any(|v| v.rule == "R10"
             && v.path == "docs/spec.md"
-            && v.message.contains("no constant with that value")),
+            && v.message.contains("no row with that value")),
         "spec-only Seek row must be reported: {hits:?}"
     );
 }
 
 #[test]
-fn r10_constant_without_match_arm_fails() {
-    // Decode arm removed: the constant exists and is documented, but the
-    // decoder never handles it.
-    let decoder = R10_DECODER.replace("EV_RUN_END => Ok(\"run-end\"),", "");
+fn r10_duplicate_type_byte_on_either_side_fails() {
+    // Two table rows given one type byte (the compiler refuses this in
+    // real code, but the lint reads the text).
+    let decoder = R10_DECODER.replace("Seek = 0x05", "Seek = 0x04");
     let hits = check_spec_drift("docs/spec.md", R10_SPEC, "crates/x/src/replay.rs", &decoder);
     assert!(
-        hits.iter()
-            .any(|v| v.rule == "R10" && v.message.contains("never matched")),
-        "unhandled record type must be reported: {hits:?}"
+        hits.iter().any(|v| v.rule == "R10"
+            && v.path == "crates/x/src/replay.rs"
+            && v.message.contains("duplicate record type 0x04")
+            && v.snippet.contains("Seek = 0x04")),
+        "duplicate table row must be reported: {hits:?}"
+    );
+    // Two spec rows given one type byte.
+    let spec = format!("{R10_SPEC}| 0x03 | RunEnd | `events u64` |\n");
+    let hits = check_spec_drift("docs/spec.md", &spec, "crates/x/src/replay.rs", R10_DECODER);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert_eq!(hits[0].path, "docs/spec.md");
+    assert!(
+        hits[0].message.contains("duplicate record type 0x03"),
+        "{hits:?}"
     );
 }
 

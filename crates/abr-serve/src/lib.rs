@@ -12,8 +12,10 @@
 //! in-process must come back over the wire, byte for byte.
 //!
 //! * [`protocol`] — the versioned, length-prefixed binary wire protocol:
-//!   explicit little-endian encode/decode, typed [`protocol::WireError`]s,
-//!   no ambient serialization.
+//!   one declared frame table that the enum, encoder and decoder are
+//!   generated from (the table macros, field codecs and the one
+//!   length-prefix rule live in the private `codec` module, shared with
+//!   [`replay`]), typed [`protocol::WireError`]s, no ambient serialization.
 //! * [`scheme`] — the scheme catalog ([`scheme::SchemeKind`]) and the
 //!   dataset video loader, shared with the CLI and the experiments.
 //! * [`store`] — the multi-tenant session store: per-session boxed
@@ -42,6 +44,7 @@
 //! seconds-closure, which `bench` and `cli` back with the journal
 //! [`Stopwatch`](../abr_bench/journal/struct.Stopwatch.html) authority.
 
+mod codec;
 pub mod loadgen;
 pub mod protocol;
 pub mod reactor;

@@ -2,11 +2,14 @@
 //!
 //! Every frame on the wire is `[u32 length][u8 frame-type][payload]`, all
 //! integers little-endian; the length covers the frame-type byte plus the
-//! payload. Encoding is written out field by field — no ambient
-//! serialization framework — so the wire format is exactly what this file
-//! says and nothing more. Floats travel as their IEEE-754 bit patterns
-//! ([`f64::to_bits`]), which is what makes **decision parity** possible:
-//! a buffer level survives the round trip bit-for-bit.
+//! payload. The frames are declared once, in the [`Frame`] table below:
+//! each row gives a variant its type byte and its fields in wire order,
+//! and the enum, the encoder and the decoder are all generated from it
+//! (see `codec.rs`). No ambient serialization framework is involved, so
+//! the wire format is exactly what the table says. Floats travel as their
+//! IEEE-754 bit patterns ([`f64::to_bits`]), which is what makes
+//! **decision parity** possible: a buffer level survives the round trip
+//! bit-for-bit. `tests/codec_pins.rs` pins every frame's bytes.
 //!
 //! Decoding is total: any byte sequence either parses into a [`Frame`] or
 //! yields a typed [`WireError`] — truncated frames, oversized length
@@ -16,8 +19,9 @@
 //!
 //! [`read_frame`] is the blocking reader the client side uses. The server
 //! never blocks on a peer: its reactor decodes frames incrementally out of
-//! nonblocking read buffers, with the same length-prefix checks.
+//! nonblocking read buffers, with the same length-prefix rule.
 
+use crate::codec::{body_len, put_prefixed, wire_enum, wire_struct, Cur, Wire};
 use abr_sim::{DecisionRequest, DecisionResponse};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -94,167 +98,167 @@ impl ErrorCode {
     }
 }
 
-/// Server counters reported by [`Frame::StatsReply`]. Seventeen `u64`s on
-/// the wire, in declaration order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Connections accepted since startup.
-    pub connections: u64,
-    /// Sessions currently held by the store.
-    pub open_sessions: u64,
-    /// High-water mark of concurrently open sessions.
-    pub peak_sessions: u64,
-    /// Sessions ever admitted (full or degraded).
-    pub sessions_opened: u64,
-    /// Sessions closed by an explicit `CloseSession`.
-    pub sessions_closed: u64,
-    /// Sessions reaped because their connection dropped mid-stream.
-    pub sessions_aborted: u64,
-    /// Sessions reclaimed by idle eviction under capacity pressure.
-    pub sessions_evicted: u64,
-    /// Admissions that fell back to degraded (stateless) service.
-    pub degraded_opens: u64,
-    /// Decide frames answered.
-    pub decisions: u64,
-    /// Decide frames answered by the stateless fallback.
-    pub degraded_decisions: u64,
-    /// Frames successfully decoded from clients.
-    pub frames_in: u64,
-    /// Frames written to clients.
-    pub frames_out: u64,
-    /// Connections torn down by a wire-level decode error.
-    pub protocol_errors: u64,
-    /// Connections closed by the slow-client reaper (read or write
-    /// deadline exceeded).
-    pub connections_reaped: u64,
-    /// Sessions parked ownerless when their connection died, awaiting a
-    /// `ResumeSession` within the orphan grace window.
-    pub sessions_orphaned: u64,
-    /// Sessions re-attached to a new connection by `ResumeSession`.
-    pub sessions_resumed: u64,
-    /// Socket-option failures (`set_nodelay`, timeout configuration) —
-    /// surfaced instead of silently dropped.
-    pub sockopt_errors: u64,
+impl Wire for ErrorCode {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_u16().put(out);
+    }
+
+    fn get(cur: &mut Cur<'_>) -> Result<ErrorCode, WireError> {
+        u16::get(cur).map(ErrorCode::from_u16)
+    }
 }
 
-/// One protocol frame. Client→server frames: `Hello`, `OpenSession`,
-/// `Decide`, `CloseSession`, `StatsReq`, `Shutdown`. Server→client frames:
-/// the rest.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// Client handshake; must be the first frame on every connection.
-    Hello {
-        /// Version the client speaks.
-        version: u16,
-    },
-    /// Server handshake acknowledgement.
-    HelloOk {
-        /// Version the server will speak on this connection.
-        version: u16,
-    },
-    /// Admit a session: bind an id to a (video, scheme) pair.
-    OpenSession {
-        /// Client-chosen id, unique among the client's live sessions.
-        session_id: u64,
-        /// Dataset video name (see `cava list-videos`).
-        video: String,
-        /// Scheme wire name ([`crate::scheme::SchemeKind::wire`]).
-        scheme: String,
-        /// VMAF device model: 0 = TV, 1 = phone.
-        vmaf_model: u8,
-    },
-    /// Session admitted.
-    OpenOk {
-        /// Echoed session id.
-        session_id: u64,
-        /// True when the store was over capacity and admitted the session
-        /// in stateless graceful-degradation mode.
-        degraded: bool,
-        /// Track count of the bound manifest.
-        n_tracks: u32,
-        /// Chunk count of the bound manifest.
-        n_chunks: u32,
-    },
-    /// Ask the session's algorithm for the next track level.
-    Decide {
-        /// Target session.
-        session_id: u64,
-        /// Per-step player state snapshot.
-        request: DecisionRequest,
-    },
-    /// Answer to [`Frame::Decide`].
-    Decision {
-        /// Echoed session id.
-        session_id: u64,
-        /// The chosen level and whether the fallback produced it.
-        response: DecisionResponse,
-    },
-    /// Retire a session and release its state.
-    CloseSession {
-        /// Target session.
-        session_id: u64,
-    },
-    /// Answer to [`Frame::CloseSession`].
-    Closed {
-        /// Echoed session id.
-        session_id: u64,
-        /// Decisions served over the session's lifetime.
-        decisions: u64,
-    },
-    /// Request a [`Frame::StatsReply`].
-    StatsReq,
-    /// Server counter snapshot.
-    StatsReply(StatsSnapshot),
-    /// Application-level error; the connection stays usable unless the
-    /// error was a wire-level decode failure.
-    Error {
-        /// Machine-readable cause.
-        code: ErrorCode,
-        /// Human-readable detail.
-        message: String,
-    },
-    /// Ask the server to stop accepting and drain.
-    Shutdown,
-    /// Acknowledges [`Frame::Shutdown`]; sent before the listener closes.
-    ShutdownOk,
-    /// Re-attach an orphaned session after a reconnect. The session must
-    /// have been opened on a connection that has since died; its algorithm
-    /// state survives untouched, so decisions continue exactly where they
-    /// left off.
-    ResumeSession {
-        /// The id the session was opened under.
-        session_id: u64,
-    },
-    /// Answer to [`Frame::ResumeSession`].
-    ResumeOk {
-        /// Echoed session id.
-        session_id: u64,
-        /// Whether the session is (still) in degraded stateless mode.
-        degraded: bool,
-        /// Decisions served before the reconnect.
-        decisions: u64,
-        /// Track count of the bound manifest.
-        n_tracks: u32,
-        /// Chunk count of the bound manifest.
-        n_chunks: u32,
-    },
+wire_struct! {
+    /// Server counters reported by [`Frame::StatsReply`]. Seventeen `u64`s on
+    /// the wire, in declaration order.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct StatsSnapshot {
+        /// Connections accepted since startup.
+        pub connections: u64,
+        /// Sessions currently held by the store.
+        pub open_sessions: u64,
+        /// High-water mark of concurrently open sessions.
+        pub peak_sessions: u64,
+        /// Sessions ever admitted (full or degraded).
+        pub sessions_opened: u64,
+        /// Sessions closed by an explicit `CloseSession`.
+        pub sessions_closed: u64,
+        /// Sessions reaped because their connection dropped mid-stream.
+        pub sessions_aborted: u64,
+        /// Sessions reclaimed by idle eviction under capacity pressure.
+        pub sessions_evicted: u64,
+        /// Admissions that fell back to degraded (stateless) service.
+        pub degraded_opens: u64,
+        /// Decide frames answered.
+        pub decisions: u64,
+        /// Decide frames answered by the stateless fallback.
+        pub degraded_decisions: u64,
+        /// Frames successfully decoded from clients.
+        pub frames_in: u64,
+        /// Frames written to clients.
+        pub frames_out: u64,
+        /// Connections torn down by a wire-level decode error.
+        pub protocol_errors: u64,
+        /// Connections closed by the slow-client reaper (read or write
+        /// deadline exceeded).
+        pub connections_reaped: u64,
+        /// Sessions parked ownerless when their connection died, awaiting a
+        /// `ResumeSession` within the orphan grace window.
+        pub sessions_orphaned: u64,
+        /// Sessions re-attached to a new connection by `ResumeSession`.
+        pub sessions_resumed: u64,
+        /// Socket-option failures (`set_nodelay`, timeout configuration) —
+        /// surfaced instead of silently dropped.
+        pub sockopt_errors: u64,
+    }
 }
 
-const TY_HELLO: u8 = 0x01;
-const TY_HELLO_OK: u8 = 0x02;
-const TY_OPEN_SESSION: u8 = 0x03;
-const TY_OPEN_OK: u8 = 0x04;
-const TY_DECIDE: u8 = 0x05;
-const TY_DECISION: u8 = 0x06;
-const TY_CLOSE_SESSION: u8 = 0x07;
-const TY_CLOSED: u8 = 0x08;
-const TY_STATS_REQ: u8 = 0x09;
-const TY_STATS_REPLY: u8 = 0x0A;
-const TY_ERROR: u8 = 0x0B;
-const TY_SHUTDOWN: u8 = 0x0C;
-const TY_SHUTDOWN_OK: u8 = 0x0D;
-const TY_RESUME_SESSION: u8 = 0x0E;
-const TY_RESUME_OK: u8 = 0x0F;
+wire_enum! {
+    /// One protocol frame, and the one declaration of the frame format:
+    /// each row's `0xNN` is its type byte, and its fields travel in row
+    /// order. Client→server frames: `Hello`, `OpenSession`, `Decide`,
+    /// `CloseSession`, `StatsReq`, `Shutdown`, `ResumeSession`.
+    /// Server→client frames: the rest.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Frame {
+        /// Client handshake; must be the first frame on every connection.
+        Hello = 0x01 {
+            /// Version the client speaks.
+            version: u16,
+        },
+        /// Server handshake acknowledgement.
+        HelloOk = 0x02 {
+            /// Version the server will speak on this connection.
+            version: u16,
+        },
+        /// Admit a session: bind an id to a (video, scheme) pair.
+        OpenSession = 0x03 {
+            /// Client-chosen id, unique among the client's live sessions.
+            session_id: u64,
+            /// Dataset video name (see `cava list-videos`).
+            video: String,
+            /// Scheme wire name ([`crate::scheme::SchemeKind::wire`]).
+            scheme: String,
+            /// VMAF device model: 0 = TV, 1 = phone.
+            vmaf_model: u8,
+        },
+        /// Session admitted.
+        OpenOk = 0x04 {
+            /// Echoed session id.
+            session_id: u64,
+            /// True when the store was over capacity and admitted the session
+            /// in stateless graceful-degradation mode.
+            degraded: bool,
+            /// Track count of the bound manifest.
+            n_tracks: u32,
+            /// Chunk count of the bound manifest.
+            n_chunks: u32,
+        },
+        /// Ask the session's algorithm for the next track level.
+        Decide = 0x05 {
+            /// Target session.
+            session_id: u64,
+            /// Per-step player state snapshot.
+            request: DecisionRequest,
+        },
+        /// Answer to [`Frame::Decide`].
+        Decision = 0x06 {
+            /// Echoed session id.
+            session_id: u64,
+            /// The chosen level and whether the fallback produced it.
+            response: DecisionResponse,
+        },
+        /// Retire a session and release its state.
+        CloseSession = 0x07 {
+            /// Target session.
+            session_id: u64,
+        },
+        /// Answer to [`Frame::CloseSession`].
+        Closed = 0x08 {
+            /// Echoed session id.
+            session_id: u64,
+            /// Decisions served over the session's lifetime.
+            decisions: u64,
+        },
+        /// Request a [`Frame::StatsReply`].
+        StatsReq = 0x09,
+        /// Server counter snapshot.
+        StatsReply = 0x0A (stats: StatsSnapshot),
+        /// Application-level error; the connection stays usable unless the
+        /// error was a wire-level decode failure.
+        Error = 0x0B {
+            /// Machine-readable cause.
+            code: ErrorCode,
+            /// Human-readable detail.
+            message: String,
+        },
+        /// Ask the server to stop accepting and drain.
+        Shutdown = 0x0C,
+        /// Acknowledges [`Frame::Shutdown`]; sent before the listener closes.
+        ShutdownOk = 0x0D,
+        /// Re-attach an orphaned session after a reconnect. The session must
+        /// have been opened on a connection that has since died; its algorithm
+        /// state survives untouched, so decisions continue exactly where they
+        /// left off.
+        ResumeSession = 0x0E {
+            /// The id the session was opened under.
+            session_id: u64,
+        },
+        /// Answer to [`Frame::ResumeSession`].
+        ResumeOk = 0x0F {
+            /// Echoed session id.
+            session_id: u64,
+            /// Whether the session is (still) in degraded stateless mode.
+            degraded: bool,
+            /// Decisions served before the reconnect.
+            decisions: u64,
+            /// Track count of the bound manifest.
+            n_tracks: u32,
+            /// Chunk count of the bound manifest.
+            n_chunks: u32,
+        },
+    }
+}
 
 /// Typed decode/transport failure. Everything a hostile or broken peer can
 /// do maps onto one of these — the read path never panics and never hangs
@@ -333,92 +337,6 @@ impl From<io::Error> for WireError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
-
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-
-pub(crate) fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put_f64(out, x);
-        }
-    }
-}
-
-pub(crate) fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put_u64(out, x);
-        }
-    }
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = u16::try_from(bytes.len()).unwrap_or(u16::MAX);
-    put_u16(out, len);
-    out.extend_from_slice(&bytes[..usize::from(len)]);
-}
-
-pub(crate) fn put_request(out: &mut Vec<u8>, req: &DecisionRequest) {
-    put_u64(out, req.chunk_index as u64);
-    put_f64(out, req.buffer_s);
-    put_opt_f64(out, req.estimated_bandwidth_bps);
-    put_opt_u64(out, req.last_level.map(|l| l as u64));
-    put_opt_f64(out, req.latest_throughput_bps);
-    put_f64(out, req.wall_time_s);
-    put_bool(out, req.startup_complete);
-    put_u64(out, req.visible_chunks as u64);
-}
-
-fn put_stats(out: &mut Vec<u8>, s: &StatsSnapshot) {
-    for v in [
-        s.connections,
-        s.open_sessions,
-        s.peak_sessions,
-        s.sessions_opened,
-        s.sessions_closed,
-        s.sessions_aborted,
-        s.sessions_evicted,
-        s.degraded_opens,
-        s.decisions,
-        s.degraded_decisions,
-        s.frames_in,
-        s.frames_out,
-        s.protocol_errors,
-        s.connections_reaped,
-        s.sessions_orphaned,
-        s.sessions_resumed,
-        s.sockopt_errors,
-    ] {
-        put_u64(out, v);
-    }
-}
-
 /// Encode a frame to its full wire form: length prefix, type byte, payload.
 ///
 /// Rejects frames whose body would exceed [`MAX_FRAME_LEN`] with
@@ -442,116 +360,7 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
 /// bytes in a batching buffer.
 // abr-lint: hot-path
 pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) -> Result<(u32, u8), WireError> {
-    let start = out.len();
-    // Length prefix + type byte, both patched below once the payload length
-    // is known.
-    out.extend_from_slice(&[0u8; 5]);
-    let ty = match frame {
-        Frame::Hello { version } => {
-            put_u16(out, *version);
-            TY_HELLO
-        }
-        Frame::HelloOk { version } => {
-            put_u16(out, *version);
-            TY_HELLO_OK
-        }
-        Frame::OpenSession {
-            session_id,
-            video,
-            scheme,
-            vmaf_model,
-        } => {
-            put_u64(out, *session_id);
-            put_str(out, video);
-            put_str(out, scheme);
-            out.push(*vmaf_model);
-            TY_OPEN_SESSION
-        }
-        Frame::OpenOk {
-            session_id,
-            degraded,
-            n_tracks,
-            n_chunks,
-        } => {
-            put_u64(out, *session_id);
-            put_bool(out, *degraded);
-            put_u32(out, *n_tracks);
-            put_u32(out, *n_chunks);
-            TY_OPEN_OK
-        }
-        Frame::Decide {
-            session_id,
-            request,
-        } => {
-            put_u64(out, *session_id);
-            put_request(out, request);
-            TY_DECIDE
-        }
-        Frame::Decision {
-            session_id,
-            response,
-        } => {
-            put_u64(out, *session_id);
-            put_u64(out, response.level as u64);
-            put_bool(out, response.degraded);
-            TY_DECISION
-        }
-        Frame::CloseSession { session_id } => {
-            put_u64(out, *session_id);
-            TY_CLOSE_SESSION
-        }
-        Frame::Closed {
-            session_id,
-            decisions,
-        } => {
-            put_u64(out, *session_id);
-            put_u64(out, *decisions);
-            TY_CLOSED
-        }
-        Frame::StatsReq => TY_STATS_REQ,
-        Frame::StatsReply(stats) => {
-            put_stats(out, stats);
-            TY_STATS_REPLY
-        }
-        Frame::Error { code, message } => {
-            put_u16(out, code.to_u16());
-            put_str(out, message);
-            TY_ERROR
-        }
-        Frame::Shutdown => TY_SHUTDOWN,
-        Frame::ShutdownOk => TY_SHUTDOWN_OK,
-        Frame::ResumeSession { session_id } => {
-            put_u64(out, *session_id);
-            TY_RESUME_SESSION
-        }
-        Frame::ResumeOk {
-            session_id,
-            degraded,
-            decisions,
-            n_tracks,
-            n_chunks,
-        } => {
-            put_u64(out, *session_id);
-            put_bool(out, *degraded);
-            put_u64(out, *decisions);
-            put_u32(out, *n_tracks);
-            put_u32(out, *n_chunks);
-            TY_RESUME_OK
-        }
-    };
-    // The declared length covers the type byte plus payload, mirroring the
-    // decode-side convention.
-    let body_len = out.len() - start - 4;
-    let Some(len) = u32::try_from(body_len)
-        .ok()
-        .filter(|&len| len <= MAX_FRAME_LEN)
-    else {
-        out.truncate(start);
-        return Err(WireError::TooLong { len: body_len });
-    };
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out[start + 4] = ty;
-    Ok((4 + len, ty))
+    put_prefixed(out, |out| frame.put_fields(out)).map_err(|len| WireError::TooLong { len })
 }
 
 /// Write one frame (length prefix included) to `w`. Does **not** flush —
@@ -564,209 +373,14 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), WireError> 
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
-/// Bounds-checked cursor over a frame body; every accessor fails with
-/// [`WireError::BadPayload`] instead of slicing out of range. Shared with
-/// the [`crate::replay`] event-log decoder, which speaks the same
-/// little-endian field grammar.
-pub(crate) struct Cur<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Cur<'a> {
-        Cur { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(WireError::BadPayload("payload shorter than declared"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize, WireError> {
-        usize::try_from(self.u64()?).map_err(|_| WireError::BadPayload("index exceeds usize"))
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::BadPayload("bool tag outside {0,1}")),
-        }
-    }
-
-    pub(crate) fn opt_f64(&mut self) -> Result<Option<f64>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            _ => Err(WireError::BadPayload("option tag outside {0,1}")),
-        }
-    }
-
-    pub(crate) fn opt_usize(&mut self) -> Result<Option<usize>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.usize()?)),
-            _ => Err(WireError::BadPayload("option tag outside {0,1}")),
-        }
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, WireError> {
-        let len = usize::from(self.u16()?);
-        let bytes = self.take(len)?;
-        // Validate in place, then make exactly one right-sized copy — only
-        // string-bearing frames (OpenSession/Error) ever reach here; the
-        // steady-state Decide/Decision grammar is string-free.
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| WireError::BadPayload("invalid UTF-8"))
-    }
-
-    pub(crate) fn request(&mut self) -> Result<DecisionRequest, WireError> {
-        Ok(DecisionRequest {
-            chunk_index: self.usize()?,
-            buffer_s: self.f64()?,
-            estimated_bandwidth_bps: self.opt_f64()?,
-            last_level: self.opt_usize()?,
-            latest_throughput_bps: self.opt_f64()?,
-            wall_time_s: self.f64()?,
-            startup_complete: self.bool()?,
-            visible_chunks: self.usize()?,
-        })
-    }
-
-    pub(crate) fn stats(&mut self) -> Result<StatsSnapshot, WireError> {
-        Ok(StatsSnapshot {
-            connections: self.u64()?,
-            open_sessions: self.u64()?,
-            peak_sessions: self.u64()?,
-            sessions_opened: self.u64()?,
-            sessions_closed: self.u64()?,
-            sessions_aborted: self.u64()?,
-            sessions_evicted: self.u64()?,
-            degraded_opens: self.u64()?,
-            decisions: self.u64()?,
-            degraded_decisions: self.u64()?,
-            frames_in: self.u64()?,
-            frames_out: self.u64()?,
-            protocol_errors: self.u64()?,
-            connections_reaped: self.u64()?,
-            sessions_orphaned: self.u64()?,
-            sessions_resumed: self.u64()?,
-            sockopt_errors: self.u64()?,
-        })
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-}
-
 /// Decode one frame body (type byte + payload, **without** the length
 /// prefix). Rejects trailing bytes so an encoder bug cannot hide.
 // abr-lint: hot-path
 pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
     let mut cur = Cur::new(body);
-    let ty = cur
-        .u8()
-        .map_err(|_| WireError::BadPayload("empty frame body"))?;
-    let frame = match ty {
-        TY_HELLO => Frame::Hello {
-            version: cur.u16()?,
-        },
-        TY_HELLO_OK => Frame::HelloOk {
-            version: cur.u16()?,
-        },
-        TY_OPEN_SESSION => Frame::OpenSession {
-            session_id: cur.u64()?,
-            video: cur.string()?,
-            scheme: cur.string()?,
-            vmaf_model: cur.u8()?,
-        },
-        TY_OPEN_OK => Frame::OpenOk {
-            session_id: cur.u64()?,
-            degraded: cur.bool()?,
-            n_tracks: cur.u32()?,
-            n_chunks: cur.u32()?,
-        },
-        TY_DECIDE => Frame::Decide {
-            session_id: cur.u64()?,
-            request: cur.request()?,
-        },
-        TY_DECISION => Frame::Decision {
-            session_id: cur.u64()?,
-            response: DecisionResponse {
-                level: cur.usize()?,
-                degraded: cur.bool()?,
-            },
-        },
-        TY_CLOSE_SESSION => Frame::CloseSession {
-            session_id: cur.u64()?,
-        },
-        TY_CLOSED => Frame::Closed {
-            session_id: cur.u64()?,
-            decisions: cur.u64()?,
-        },
-        TY_STATS_REQ => Frame::StatsReq,
-        TY_STATS_REPLY => Frame::StatsReply(cur.stats()?),
-        TY_ERROR => Frame::Error {
-            code: ErrorCode::from_u16(cur.u16()?),
-            message: cur.string()?,
-        },
-        TY_SHUTDOWN => Frame::Shutdown,
-        TY_SHUTDOWN_OK => Frame::ShutdownOk,
-        TY_RESUME_SESSION => Frame::ResumeSession {
-            session_id: cur.u64()?,
-        },
-        TY_RESUME_OK => Frame::ResumeOk {
-            session_id: cur.u64()?,
-            degraded: cur.bool()?,
-            decisions: cur.u64()?,
-            n_tracks: cur.u32()?,
-            n_chunks: cur.u32()?,
-        },
-        other => return Err(WireError::UnknownFrameType(other)),
-    };
-    if cur.remaining() != 0 {
-        return Err(WireError::Trailing {
-            extra: cur.remaining(),
-        });
-    }
+    let ty = u8::get(&mut cur).map_err(|_| WireError::BadPayload("empty frame body"))?;
+    let frame = Frame::get_fields(ty, &mut cur)?.ok_or(WireError::UnknownFrameType(ty))?;
+    cur.all_read()?;
     Ok(frame)
 }
 
@@ -802,12 +416,8 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8], at_boundary: bool) -> Result<()
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
     let mut prefix = [0u8; 4];
     read_full(r, &mut prefix, true)?;
-    let len = u32::from_le_bytes(prefix);
-    if len == 0 || len > MAX_FRAME_LEN {
-        return Err(WireError::Oversized { len });
-    }
     let mut body = Vec::with_capacity(64);
-    body.resize(len as usize, 0);
+    body.resize(body_len(prefix)?, 0);
     read_full(r, &mut body, false)?;
     decode_frame(&body)
 }

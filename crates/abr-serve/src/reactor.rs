@@ -55,7 +55,8 @@
 //! (lint R8): all store locking happens inside `handle_frame`, which only
 //! touches memory buffers.
 
-use crate::protocol::{decode_frame, Frame, StatsSnapshot, WireError, MAX_FRAME_LEN};
+use crate::codec::next_body;
+use crate::protocol::{decode_frame, Frame, StatsSnapshot, WireError};
 use crate::server::Server;
 use std::convert::Infallible;
 use std::io::{self, Read, Write};
@@ -214,27 +215,19 @@ impl Conn {
     }
 
     /// Decode the next complete frame at the cursor, if a full one has
-    /// arrived. Validates the length prefix exactly like the blocking
-    /// client reader ([`crate::protocol::read_frame`]), so both ends
+    /// arrived. The length prefix follows the one rule the blocking client
+    /// reader ([`crate::protocol::read_frame`]) also follows, so both ends
     /// reject the same garbage with the same error text.
     fn try_decode(&mut self) -> Result<Option<(Frame, u32, u8)>, WireError> {
-        let avail = &self.rbuf[self.rpos..];
-        if avail.len() < 4 {
+        let Some(body) = next_body(&self.rbuf[self.rpos..])? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]);
-        if len == 0 || len > MAX_FRAME_LEN {
-            return Err(WireError::Oversized { len });
-        }
-        let body_len = len as usize;
-        if avail.len() < 4 + body_len {
-            return Ok(None);
-        }
-        let body = &avail[4..4 + body_len];
+        };
         let ty = body[0];
         let frame = decode_frame(body)?;
-        self.rpos += 4 + body_len;
-        Ok(Some((frame, 4 + len, ty)))
+        let wire_len = 4 + body.len();
+        self.rpos += wire_len;
+        // `next_body` bounds a body by MAX_FRAME_LEN, so this cannot truncate.
+        Ok(Some((frame, wire_len as u32, ty)))
     }
 
     /// Run every complete frame in the read buffer through the shared

@@ -16,7 +16,11 @@
 //! The wire format mirrors [`crate::protocol`] deliberately: records are
 //! `[u32 length][u8 event-type][u64 tick][payload]`, all integers
 //! little-endian, floats as IEEE-754 bit patterns, preceded by a 5-byte
-//! file header (magic `CAVR` + version byte). Decoding is **total**: any
+//! file header (magic `CAVR` + version byte). The record types are
+//! declared once, in the [`Event`] table below; the enum, the encoder and
+//! the decoder are generated from it with the same field codecs and the
+//! same length-prefix rule as the wire protocol (see `codec.rs`), and
+//! `tests/codec_pins.rs` pins every record's bytes. Decoding is **total**: any
 //! byte sequence either decodes or yields a typed [`ReplayError`], and a
 //! log cut off mid-record (a crashed run) still decodes to its intact
 //! prefix with [`EventLog::truncated`] set. The normative spec, field
@@ -35,10 +39,9 @@
 //! interleaving *between* sessions is whatever the scheduler produced, and
 //! replay follows the recorded interleaving rather than re-racing it.
 
+use crate::codec::{next_body, put_prefixed, wire_enum, Cur, Wire};
 use crate::lock;
-use crate::protocol::{
-    put_bool, put_f64, put_request, put_str, put_u32, put_u64, Cur, WireError, MAX_FRAME_LEN,
-};
+use crate::protocol::{WireError, MAX_FRAME_LEN};
 use crate::scheme;
 use crate::store::{SessionState, VideoProvider};
 use abr_sim::{DecisionRequest, DecisionResponse};
@@ -73,182 +76,147 @@ pub const REPLAY_VERSION: u8 = 2;
 /// before allocation.
 pub const MAX_EVENT_LEN: u32 = MAX_FRAME_LEN;
 
-const EV_RUN_META: u8 = 0x01;
-const EV_SESSION_OPENED: u8 = 0x02;
-const EV_DECISION: u8 = 0x03;
-const EV_SESSION_CLOSED: u8 = 0x04;
-const EV_SESSION_ORPHANED: u8 = 0x05;
-const EV_SESSION_RESUMED: u8 = 0x06;
-const EV_SESSION_EVICTED: u8 = 0x07;
-const EV_ORPHAN_REAPED: u8 = 0x08;
-const EV_SESSION_ABORTED: u8 = 0x09;
-const EV_FRAME_IN: u8 = 0x0A;
-const EV_FRAME_OUT: u8 = 0x0B;
-const EV_FAULT_INJECTED: u8 = 0x0C;
-const EV_RUN_END: u8 = 0x0D;
-const EV_SESSION_ABANDON: u8 = 0x0E;
-const EV_SEEK: u8 = 0x0F;
-
-/// One recorded event. Field layouts (little-endian, in declaration
-/// order) are normative in `docs/REPLAY.md`; the enum is the in-memory
-/// twin.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// Run preamble: what produced this log.
-    RunMeta {
-        /// Free-form run label (experiment name, CLI invocation, …).
-        label: String,
-        /// The run's primary seed (0 when the run had none).
-        seed: u64,
-    },
-    /// The store admitted a session ([`crate::store::SessionStore::open`]).
-    SessionOpened {
-        /// Connection that opened the session.
-        conn: u64,
-        /// The session id.
-        session_id: u64,
-        /// Dataset video name the session is bound to.
-        video: String,
-        /// Scheme wire name ([`crate::scheme::SchemeKind::wire`]).
-        scheme: String,
-        /// VMAF device model code (0 = TV, 1 = phone).
-        vmaf_model: u8,
-        /// True when admitted in stateless graceful-degradation mode.
-        degraded: bool,
-        /// Track count of the bound manifest.
-        n_tracks: u32,
-        /// Chunk count of the bound manifest.
-        n_chunks: u32,
-    },
-    /// The store served a decision — the replayable heart of the log.
-    Decision {
-        /// The session that decided.
-        session_id: u64,
-        /// True when the answer came from the retransmission cache (a
-        /// client retry after a dead connection); replay verifies the
-        /// cache instead of advancing algorithm state.
-        retransmit: bool,
-        /// The request exactly as applied.
-        request: DecisionRequest,
-        /// The response exactly as served.
-        response: DecisionResponse,
-    },
-    /// A session closed cleanly ([`crate::store::SessionStore::close`]).
-    SessionClosed {
-        /// The session id.
-        session_id: u64,
-        /// Lifetime decision count reported at close.
-        decisions: u64,
-    },
-    /// A connection died and parked this session ownerless.
-    SessionOrphaned {
-        /// The session id.
-        session_id: u64,
-        /// The connection that died.
-        conn: u64,
-    },
-    /// An orphaned session was re-attached by `ResumeSession`.
-    SessionResumed {
-        /// The session id.
-        session_id: u64,
-        /// The connection that adopted it.
-        conn: u64,
-        /// Decisions served before the reconnect.
-        decisions: u64,
-    },
-    /// An idle session was evicted under capacity pressure.
-    SessionEvicted {
-        /// The session id.
-        session_id: u64,
-    },
-    /// An orphan's grace window lapsed (or its slot was reclaimed under
-    /// pressure) and it was reaped.
-    OrphanReaped {
-        /// The session id.
-        session_id: u64,
-    },
-    /// A connection died with orphaning disabled; its session was removed
-    /// outright.
-    SessionAborted {
-        /// The session id.
-        session_id: u64,
-        /// The connection that died.
-        conn: u64,
-    },
-    /// The server decoded one frame from a client.
-    FrameIn {
-        /// Receiving connection.
-        conn: u64,
-        /// The frame's wire type byte.
-        frame_type: u8,
-        /// Full wire length, length prefix included.
-        wire_len: u32,
-    },
-    /// The server wrote one frame to a client.
-    FrameOut {
-        /// Sending connection.
-        conn: u64,
-        /// The frame's wire type byte.
-        frame_type: u8,
-        /// Full wire length, length prefix included.
-        wire_len: u32,
-    },
-    /// The load generator injected a fault before a send.
-    FaultInjected {
-        /// Client connection index (loadgen-side, 0-based).
-        conn_index: u64,
-        /// Fault kind: 0 = mid-frame stall, 1 = truncated write,
-        /// 2 = connection reset.
-        kind: u8,
-        /// The connection's send counter when the fault fired.
-        send_seq: u64,
-    },
-    /// Clean end-of-run marker; a log without one was cut off mid-run.
-    RunEnd {
-        /// Events recorded before this one.
-        events: u64,
-    },
-    /// A population-mode viewer abandoned its session mid-stream (the
-    /// client walked away; the session still closes normally afterward).
-    SessionAbandon {
-        /// The session id.
-        session_id: u64,
-        /// Wall time watched before abandoning, seconds.
-        watched_s: f64,
-        /// Chunks downloaded before abandoning.
-        chunks: u64,
-    },
-    /// A population-mode viewer seeked: buffer flushed, playhead jumped.
-    Seek {
-        /// The session id.
-        session_id: u64,
-        /// Target chunk index of the seek.
-        to_chunk: u64,
-        /// Wall time (session-relative) at which the seek fired, seconds.
-        at_s: f64,
-    },
-}
-
-impl Event {
-    /// Short kind name for summaries and diffs.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RunMeta { .. } => "RunMeta",
-            Event::SessionOpened { .. } => "SessionOpened",
-            Event::Decision { .. } => "Decision",
-            Event::SessionClosed { .. } => "SessionClosed",
-            Event::SessionOrphaned { .. } => "SessionOrphaned",
-            Event::SessionResumed { .. } => "SessionResumed",
-            Event::SessionEvicted { .. } => "SessionEvicted",
-            Event::OrphanReaped { .. } => "OrphanReaped",
-            Event::SessionAborted { .. } => "SessionAborted",
-            Event::FrameIn { .. } => "FrameIn",
-            Event::FrameOut { .. } => "FrameOut",
-            Event::FaultInjected { .. } => "FaultInjected",
-            Event::RunEnd { .. } => "RunEnd",
-            Event::SessionAbandon { .. } => "SessionAbandon",
-            Event::Seek { .. } => "Seek",
-        }
+wire_enum! {
+    /// One recorded event, and the one declaration of the record format:
+    /// each row's `0xNN` is its event-type byte, and its fields travel in
+    /// row order (little-endian, after the tick). `docs/REPLAY.md` is the
+    /// normative spec; lint R10 checks its record-type table against the
+    /// rows here, both ways.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Event {
+        /// Run preamble: what produced this log.
+        RunMeta = 0x01 {
+            /// Free-form run label (experiment name, CLI invocation, …).
+            label: String,
+            /// The run's primary seed (0 when the run had none).
+            seed: u64,
+        },
+        /// The store admitted a session ([`crate::store::SessionStore::open`]).
+        SessionOpened = 0x02 {
+            /// Connection that opened the session.
+            conn: u64,
+            /// The session id.
+            session_id: u64,
+            /// Dataset video name the session is bound to.
+            video: String,
+            /// Scheme wire name ([`crate::scheme::SchemeKind::wire`]).
+            scheme: String,
+            /// VMAF device model code (0 = TV, 1 = phone).
+            vmaf_model: u8,
+            /// True when admitted in stateless graceful-degradation mode.
+            degraded: bool,
+            /// Track count of the bound manifest.
+            n_tracks: u32,
+            /// Chunk count of the bound manifest.
+            n_chunks: u32,
+        },
+        /// The store served a decision — the replayable heart of the log.
+        Decision = 0x03 {
+            /// The session that decided.
+            session_id: u64,
+            /// True when the answer came from the retransmission cache (a
+            /// client retry after a dead connection); replay verifies the
+            /// cache instead of advancing algorithm state.
+            retransmit: bool,
+            /// The request exactly as applied.
+            request: DecisionRequest,
+            /// The response exactly as served.
+            response: DecisionResponse,
+        },
+        /// A session closed cleanly ([`crate::store::SessionStore::close`]).
+        SessionClosed = 0x04 {
+            /// The session id.
+            session_id: u64,
+            /// Lifetime decision count reported at close.
+            decisions: u64,
+        },
+        /// A connection died and parked this session ownerless.
+        SessionOrphaned = 0x05 {
+            /// The session id.
+            session_id: u64,
+            /// The connection that died.
+            conn: u64,
+        },
+        /// An orphaned session was re-attached by `ResumeSession`.
+        SessionResumed = 0x06 {
+            /// The session id.
+            session_id: u64,
+            /// The connection that adopted it.
+            conn: u64,
+            /// Decisions served before the reconnect.
+            decisions: u64,
+        },
+        /// An idle session was evicted under capacity pressure.
+        SessionEvicted = 0x07 {
+            /// The session id.
+            session_id: u64,
+        },
+        /// An orphan's grace window lapsed (or its slot was reclaimed under
+        /// pressure) and it was reaped.
+        OrphanReaped = 0x08 {
+            /// The session id.
+            session_id: u64,
+        },
+        /// A connection died with orphaning disabled; its session was removed
+        /// outright.
+        SessionAborted = 0x09 {
+            /// The session id.
+            session_id: u64,
+            /// The connection that died.
+            conn: u64,
+        },
+        /// The server decoded one frame from a client.
+        FrameIn = 0x0A {
+            /// Receiving connection.
+            conn: u64,
+            /// The frame's wire type byte.
+            frame_type: u8,
+            /// Full wire length, length prefix included.
+            wire_len: u32,
+        },
+        /// The server wrote one frame to a client.
+        FrameOut = 0x0B {
+            /// Sending connection.
+            conn: u64,
+            /// The frame's wire type byte.
+            frame_type: u8,
+            /// Full wire length, length prefix included.
+            wire_len: u32,
+        },
+        /// The load generator injected a fault before a send.
+        FaultInjected = 0x0C {
+            /// Client connection index (loadgen-side, 0-based).
+            conn_index: u64,
+            /// Fault kind: 0 = mid-frame stall, 1 = truncated write,
+            /// 2 = connection reset.
+            kind: u8,
+            /// The connection's send counter when the fault fired.
+            send_seq: u64,
+        },
+        /// Clean end-of-run marker; a log without one was cut off mid-run.
+        RunEnd = 0x0D {
+            /// Events recorded before this one.
+            events: u64,
+        },
+        /// A population-mode viewer abandoned its session mid-stream (the
+        /// client walked away; the session still closes normally afterward).
+        SessionAbandon = 0x0E {
+            /// The session id.
+            session_id: u64,
+            /// Wall time watched before abandoning, seconds.
+            watched_s: f64,
+            /// Chunks downloaded before abandoning.
+            chunks: u64,
+        },
+        /// A population-mode viewer seeked: buffer flushed, playhead jumped.
+        Seek = 0x0F {
+            /// The session id.
+            session_id: u64,
+            /// Target chunk index of the seek.
+            to_chunk: u64,
+            /// Wall time (session-relative) at which the seek fired, seconds.
+            at_s: f64,
+        },
     }
 }
 
@@ -350,147 +318,12 @@ impl std::error::Error for ReplayError {}
 /// Encode one record to its full form: `[u32 len][u8 type][u64 tick]
 /// [payload]`. The length covers everything after the prefix.
 pub fn encode_event(tick: u64, event: &Event) -> Result<Vec<u8>, ReplayError> {
-    let mut body = Vec::with_capacity(64);
-    body.push(0); // event type, patched below
-    put_u64(&mut body, tick);
-    let ty = match event {
-        Event::RunMeta { label, seed } => {
-            put_str(&mut body, label);
-            put_u64(&mut body, *seed);
-            EV_RUN_META
-        }
-        Event::SessionOpened {
-            conn,
-            session_id,
-            video,
-            scheme,
-            vmaf_model,
-            degraded,
-            n_tracks,
-            n_chunks,
-        } => {
-            put_u64(&mut body, *conn);
-            put_u64(&mut body, *session_id);
-            put_str(&mut body, video);
-            put_str(&mut body, scheme);
-            body.push(*vmaf_model);
-            put_bool(&mut body, *degraded);
-            put_u32(&mut body, *n_tracks);
-            put_u32(&mut body, *n_chunks);
-            EV_SESSION_OPENED
-        }
-        Event::Decision {
-            session_id,
-            retransmit,
-            request,
-            response,
-        } => {
-            put_u64(&mut body, *session_id);
-            put_bool(&mut body, *retransmit);
-            put_request(&mut body, request);
-            put_u64(&mut body, response.level as u64);
-            put_bool(&mut body, response.degraded);
-            EV_DECISION
-        }
-        Event::SessionClosed {
-            session_id,
-            decisions,
-        } => {
-            put_u64(&mut body, *session_id);
-            put_u64(&mut body, *decisions);
-            EV_SESSION_CLOSED
-        }
-        Event::SessionOrphaned { session_id, conn } => {
-            put_u64(&mut body, *session_id);
-            put_u64(&mut body, *conn);
-            EV_SESSION_ORPHANED
-        }
-        Event::SessionResumed {
-            session_id,
-            conn,
-            decisions,
-        } => {
-            put_u64(&mut body, *session_id);
-            put_u64(&mut body, *conn);
-            put_u64(&mut body, *decisions);
-            EV_SESSION_RESUMED
-        }
-        Event::SessionEvicted { session_id } => {
-            put_u64(&mut body, *session_id);
-            EV_SESSION_EVICTED
-        }
-        Event::OrphanReaped { session_id } => {
-            put_u64(&mut body, *session_id);
-            EV_ORPHAN_REAPED
-        }
-        Event::SessionAborted { session_id, conn } => {
-            put_u64(&mut body, *session_id);
-            put_u64(&mut body, *conn);
-            EV_SESSION_ABORTED
-        }
-        Event::FrameIn {
-            conn,
-            frame_type,
-            wire_len,
-        } => {
-            put_u64(&mut body, *conn);
-            body.push(*frame_type);
-            put_u32(&mut body, *wire_len);
-            EV_FRAME_IN
-        }
-        Event::FrameOut {
-            conn,
-            frame_type,
-            wire_len,
-        } => {
-            put_u64(&mut body, *conn);
-            body.push(*frame_type);
-            put_u32(&mut body, *wire_len);
-            EV_FRAME_OUT
-        }
-        Event::FaultInjected {
-            conn_index,
-            kind,
-            send_seq,
-        } => {
-            put_u64(&mut body, *conn_index);
-            body.push(*kind);
-            put_u64(&mut body, *send_seq);
-            EV_FAULT_INJECTED
-        }
-        Event::RunEnd { events } => {
-            put_u64(&mut body, *events);
-            EV_RUN_END
-        }
-        Event::SessionAbandon {
-            session_id,
-            watched_s,
-            chunks,
-        } => {
-            put_u64(&mut body, *session_id);
-            put_f64(&mut body, *watched_s);
-            put_u64(&mut body, *chunks);
-            EV_SESSION_ABANDON
-        }
-        Event::Seek {
-            session_id,
-            to_chunk,
-            at_s,
-        } => {
-            put_u64(&mut body, *session_id);
-            put_u64(&mut body, *to_chunk);
-            put_f64(&mut body, *at_s);
-            EV_SEEK
-        }
-    };
-    body[0] = ty;
-    let len = u32::try_from(body.len())
-        .ok()
-        .filter(|&len| len <= MAX_EVENT_LEN)
-        .ok_or(ReplayError::TooLong { len: body.len() })?;
-    let mut wire = Vec::with_capacity(4 + body.len());
-    put_u32(&mut wire, len);
-    wire.extend_from_slice(&body);
+    let mut wire = Vec::with_capacity(64);
+    put_prefixed(&mut wire, |out| {
+        tick.put(out);
+        event.put_fields(out)
+    })
+    .map_err(|len| ReplayError::TooLong { len })?;
     Ok(wire)
 }
 
@@ -539,8 +372,12 @@ impl EventLog {
     }
 }
 
-fn wire_to_record_error(index: usize, e: WireError) -> ReplayError {
+/// Place a field-codec failure at record `index`.
+fn record_error(index: usize, e: WireError) -> ReplayError {
     match e {
+        WireError::Oversized { len } => ReplayError::Oversized { index, len },
+        WireError::UnknownFrameType(ty) => ReplayError::UnknownEventType { index, ty },
+        WireError::Trailing { extra } => ReplayError::Trailing { index, extra },
         WireError::BadPayload(what) => ReplayError::BadRecord { index, what },
         _ => ReplayError::BadRecord {
             index,
@@ -549,94 +386,12 @@ fn wire_to_record_error(index: usize, e: WireError) -> ReplayError {
     }
 }
 
-fn decode_record(index: usize, body: &[u8]) -> Result<Recorded, ReplayError> {
+fn decode_record(body: &[u8]) -> Result<Recorded, WireError> {
     let mut cur = Cur::new(body);
-    let bad = |e: WireError| wire_to_record_error(index, e);
-    let ty = cur.u8().map_err(bad)?;
-    let tick = cur.u64().map_err(bad)?;
-    let event = match ty {
-        EV_RUN_META => Event::RunMeta {
-            label: cur.string().map_err(bad)?,
-            seed: cur.u64().map_err(bad)?,
-        },
-        EV_SESSION_OPENED => Event::SessionOpened {
-            conn: cur.u64().map_err(bad)?,
-            session_id: cur.u64().map_err(bad)?,
-            video: cur.string().map_err(bad)?,
-            scheme: cur.string().map_err(bad)?,
-            vmaf_model: cur.u8().map_err(bad)?,
-            degraded: cur.bool().map_err(bad)?,
-            n_tracks: cur.u32().map_err(bad)?,
-            n_chunks: cur.u32().map_err(bad)?,
-        },
-        EV_DECISION => Event::Decision {
-            session_id: cur.u64().map_err(bad)?,
-            retransmit: cur.bool().map_err(bad)?,
-            request: cur.request().map_err(bad)?,
-            response: DecisionResponse {
-                level: cur.usize().map_err(bad)?,
-                degraded: cur.bool().map_err(bad)?,
-            },
-        },
-        EV_SESSION_CLOSED => Event::SessionClosed {
-            session_id: cur.u64().map_err(bad)?,
-            decisions: cur.u64().map_err(bad)?,
-        },
-        EV_SESSION_ORPHANED => Event::SessionOrphaned {
-            session_id: cur.u64().map_err(bad)?,
-            conn: cur.u64().map_err(bad)?,
-        },
-        EV_SESSION_RESUMED => Event::SessionResumed {
-            session_id: cur.u64().map_err(bad)?,
-            conn: cur.u64().map_err(bad)?,
-            decisions: cur.u64().map_err(bad)?,
-        },
-        EV_SESSION_EVICTED => Event::SessionEvicted {
-            session_id: cur.u64().map_err(bad)?,
-        },
-        EV_ORPHAN_REAPED => Event::OrphanReaped {
-            session_id: cur.u64().map_err(bad)?,
-        },
-        EV_SESSION_ABORTED => Event::SessionAborted {
-            session_id: cur.u64().map_err(bad)?,
-            conn: cur.u64().map_err(bad)?,
-        },
-        EV_FRAME_IN => Event::FrameIn {
-            conn: cur.u64().map_err(bad)?,
-            frame_type: cur.u8().map_err(bad)?,
-            wire_len: cur.u32().map_err(bad)?,
-        },
-        EV_FRAME_OUT => Event::FrameOut {
-            conn: cur.u64().map_err(bad)?,
-            frame_type: cur.u8().map_err(bad)?,
-            wire_len: cur.u32().map_err(bad)?,
-        },
-        EV_FAULT_INJECTED => Event::FaultInjected {
-            conn_index: cur.u64().map_err(bad)?,
-            kind: cur.u8().map_err(bad)?,
-            send_seq: cur.u64().map_err(bad)?,
-        },
-        EV_RUN_END => Event::RunEnd {
-            events: cur.u64().map_err(bad)?,
-        },
-        EV_SESSION_ABANDON => Event::SessionAbandon {
-            session_id: cur.u64().map_err(bad)?,
-            watched_s: cur.f64().map_err(bad)?,
-            chunks: cur.u64().map_err(bad)?,
-        },
-        EV_SEEK => Event::Seek {
-            session_id: cur.u64().map_err(bad)?,
-            to_chunk: cur.u64().map_err(bad)?,
-            at_s: cur.f64().map_err(bad)?,
-        },
-        other => return Err(ReplayError::UnknownEventType { index, ty: other }),
-    };
-    if cur.remaining() != 0 {
-        return Err(ReplayError::Trailing {
-            index,
-            extra: cur.remaining(),
-        });
-    }
+    let ty = u8::get(&mut cur)?;
+    let tick = u64::get(&mut cur)?;
+    let event = Event::get_fields(ty, &mut cur)?.ok_or(WireError::UnknownFrameType(ty))?;
+    cur.all_read()?;
     Ok(Recorded { tick, event })
 }
 
@@ -647,7 +402,7 @@ pub fn decode_log(bytes: &[u8]) -> Result<EventLog, ReplayError> {
     if bytes.len() < 4 || bytes[..4] != REPLAY_MAGIC {
         return Err(ReplayError::BadMagic);
     }
-    if bytes.len() < 5 {
+    let Some(&version) = bytes.get(4) else {
         // Magic intact but the version byte never made it: a truncated
         // header is an empty truncated log, not corruption.
         return Ok(EventLog {
@@ -655,31 +410,21 @@ pub fn decode_log(bytes: &[u8]) -> Result<EventLog, ReplayError> {
             events: Vec::new(),
             truncated: true,
         });
-    }
-    let version = bytes[4];
+    };
     if version != REPLAY_VERSION {
         return Err(ReplayError::UnsupportedVersion(version));
     }
     let mut events = Vec::new();
-    let mut pos = 5usize;
+    let mut rest = &bytes[5..];
     let mut truncated = false;
-    while pos < bytes.len() {
+    while !rest.is_empty() {
         let index = events.len();
-        let Some(prefix) = bytes.get(pos..pos + 4) else {
+        let Some(body) = next_body(rest).map_err(|e| record_error(index, e))? else {
             truncated = true;
             break;
         };
-        let len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]);
-        if len == 0 || len > MAX_EVENT_LEN {
-            return Err(ReplayError::Oversized { index, len });
-        }
-        let len = len as usize; // bounded by MAX_EVENT_LEN above
-        let Some(body) = bytes.get(pos + 4..pos + 4 + len) else {
-            truncated = true;
-            break;
-        };
-        events.push(decode_record(index, body)?);
-        pos += 4 + len;
+        events.push(decode_record(body).map_err(|e| record_error(index, e))?);
+        rest = &rest[4 + body.len()..];
     }
     Ok(EventLog {
         version,
